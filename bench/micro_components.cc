@@ -12,7 +12,6 @@
 #include "sched/ws_scheduler.h"
 #include "simarch/cache.h"
 #include "simarch/engine.h"
-#include "util/fenwick.h"
 #include "util/rng.h"
 #include "workloads/mergesort.h"
 
@@ -83,20 +82,6 @@ void BM_TraceCursorInterleave(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1u << 18));
 }
 BENCHMARK(BM_TraceCursorInterleave);
-
-void BM_Fenwick(benchmark::State& state) {
-  Fenwick f(1 << 20);
-  Xoshiro256 rng(3);
-  int64_t sum = 0;
-  for (auto _ : state) {
-    const size_t i = rng.next_below(1 << 20);
-    f.add(i, 1);
-    sum += f.prefix_sum(i);
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_Fenwick);
 
 void BM_SimulateMergesort(benchmark::State& state) {
   MergesortParams p;

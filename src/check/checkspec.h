@@ -4,13 +4,12 @@
 // The simulator's correctness story so far is byte-identity against
 // recorded golden fixtures, which cannot catch a bug that predates the
 // recording. The check subsystem adds machine-checked invariants: the
-// engines are instrumented with hooks that, when armed, maintain a naive
+// engine is instrumented with hooks that, when armed, maintain a naive
 // shadow model of the caches and the scheduler contract and audit the
 // real (SWAR-packed) state against it at a configurable sampling period.
-// Disarmed — the default — the hooks compile to nothing in the serial
-// engine (the run loop is templated on a no-op checker) and to one
-// untaken branch per commit in the parallel engine, so the hot paths
-// gated by the perf suite are unaffected.
+// Disarmed — the default — the hooks compile to nothing (the run loop is
+// templated on a no-op checker), so the hot path gated by the perf suite
+// is unaffected.
 //
 // Arming uses the repo's strict spec-string grammar (genspec/schedspec/
 // faultspec family), via --check= or $CACHESCHED_CHECK:
@@ -78,10 +77,9 @@ struct CheckSpec {
   bool operator==(const CheckSpec&) const = default;
 };
 
-/// The process-default check spec: $CACHESCHED_CHECK parsed once (so
-/// existing binaries — the golden fixture suite in particular — can be
-/// run fully checked wholesale, the way $CACHESCHED_SIM_THREADS runs them
-/// threaded). Unset or empty = nothing armed. A malformed value throws
+/// The process-default check spec: $CACHESCHED_CHECK parsed once (so existing
+/// binaries — the golden fixture suite in particular — can be run fully checked
+/// wholesale). Unset or empty = nothing armed. A malformed value throws
 /// std::invalid_argument from the first simulator construction.
 const CheckSpec& default_check_spec();
 

@@ -10,7 +10,8 @@ namespace cachesched {
 namespace check {
 namespace {
 
-constexpr const char* kMagic = "cachesched-crash-repro v1";
+constexpr const char* kMagic = "cachesched-crash-repro v2";
+constexpr const char* kMagicV1 = "cachesched-crash-repro v1";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("bad crash repro: " + what);
@@ -100,7 +101,6 @@ std::string CrashRepro::serialize() const {
   os << "task_ws=" << task_ws << "\n";
   os << "fine_grained=" << (fine_grained ? 1 : 0) << "\n";
   os << "seed=" << seed << "\n";
-  os << "sim_threads=" << sim_threads << "\n";
   os << "overrides=" << overrides.serialize() << "\n";
   os << "check=" << one_line(check) << "\n";
   os << "verify=" << (verify.empty() ? "none" : verify) << "\n";
@@ -112,7 +112,14 @@ std::string CrashRepro::serialize() const {
 CrashRepro CrashRepro::parse(const std::string& text) {
   std::stringstream ss(text);
   std::string line;
-  if (!std::getline(ss, line) || line != kMagic) {
+  std::getline(ss, line);  // leaves `line` empty on an empty file
+  if (line == kMagicV1) {
+    fail("v1 reproducers are no longer supported (v1 recorded a host "
+         "thread count and verify=serial, which were removed with the "
+         "multi-threaded engine); re-create the run with the current "
+         "cachesched_cli");
+  }
+  if (line != kMagic) {
     fail("missing magic line \"" + std::string(kMagic) + "\"");
   }
   std::map<std::string, std::string> kv;
@@ -142,11 +149,12 @@ CrashRepro CrashRepro::parse(const std::string& text) {
   r.task_ws = parse_u64("task_ws", take("task_ws"));
   r.fine_grained = parse_bool("fine_grained", take("fine_grained"));
   r.seed = parse_u64("seed", take("seed"));
-  r.sim_threads =
-      static_cast<int>(parse_u64("sim_threads", take("sim_threads")));
   r.overrides = parse_overrides(take("overrides"));
   r.check = take("check");
   r.verify = take("verify");
+  if (r.verify != "none" && r.verify != "shadow") {
+    fail("verify=" + r.verify + " is not none or shadow");
+  }
   r.op_index = parse_u64("op_index", take("op_index"));
   r.violation = take("violation");
   if (!kv.empty()) fail("unknown key " + kv.begin()->first);

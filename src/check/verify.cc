@@ -3,29 +3,26 @@
 #include <string>
 #include <utility>
 
-#include "core/dag.h"
-#include "core/scheduler.h"
-
 namespace cachesched {
 namespace check {
 namespace {
 
-std::string num_diff(const char* name, uint64_t s, uint64_t p) {
-  return std::string(name) + ": serial " + std::to_string(s) +
-         ", parallel " + std::to_string(p);
+std::string num_diff(const char* name, uint64_t e, uint64_t a) {
+  return std::string(name) + ": expected " + std::to_string(e) +
+         ", actual " + std::to_string(a);
 }
 
 template <class T>
-std::string vec_diff(const char* name, const std::vector<T>& s,
-                     const std::vector<T>& p) {
-  if (s.size() != p.size()) {
-    return std::string(name) + ".size: serial " + std::to_string(s.size()) +
-           ", parallel " + std::to_string(p.size());
+std::string vec_diff(const char* name, const std::vector<T>& e,
+                     const std::vector<T>& a) {
+  if (e.size() != a.size()) {
+    return std::string(name) + ".size: expected " + std::to_string(e.size()) +
+           ", actual " + std::to_string(a.size());
   }
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != p[i]) {
-      return std::string(name) + "[" + std::to_string(i) + "]: serial " +
-             std::to_string(s[i]) + ", parallel " + std::to_string(p[i]);
+  for (size_t i = 0; i < e.size(); ++i) {
+    if (e[i] != a[i]) {
+      return std::string(name) + "[" + std::to_string(i) + "]: expected " +
+             std::to_string(e[i]) + ", actual " + std::to_string(a[i]);
     }
   }
   return "";
@@ -33,97 +30,49 @@ std::string vec_diff(const char* name, const std::vector<T>& s,
 
 }  // namespace
 
-std::string diff_sim_results(const SimResult& s, const SimResult& p) {
-  if (s.scheduler != p.scheduler) {
-    return "scheduler: serial \"" + s.scheduler + "\", parallel \"" +
-           p.scheduler + "\"";
+std::string diff_sim_results(const SimResult& e, const SimResult& a) {
+  if (e.scheduler != a.scheduler) {
+    return "scheduler: expected \"" + e.scheduler + "\", actual \"" +
+           a.scheduler + "\"";
   }
-  if (s.config != p.config) {
-    return "config: serial \"" + s.config + "\", parallel \"" + p.config +
+  if (e.config != a.config) {
+    return "config: expected \"" + e.config + "\", actual \"" + a.config +
            "\"";
   }
-  if (s.cores != p.cores) {
-    return num_diff("cores", static_cast<uint64_t>(s.cores),
-                    static_cast<uint64_t>(p.cores));
+  if (e.cores != a.cores) {
+    return num_diff("cores", static_cast<uint64_t>(e.cores),
+                    static_cast<uint64_t>(a.cores));
   }
   const std::pair<const char*, std::pair<uint64_t, uint64_t>> scalars[] = {
-      {"cycles", {s.cycles, p.cycles}},
-      {"instructions", {s.instructions, p.instructions}},
-      {"tasks_executed", {s.tasks_executed, p.tasks_executed}},
-      {"l1_hits", {s.l1_hits, p.l1_hits}},
-      {"l2_hits", {s.l2_hits, p.l2_hits}},
-      {"l2_misses", {s.l2_misses, p.l2_misses}},
-      {"writebacks", {s.writebacks, p.writebacks}},
-      {"invalidations", {s.invalidations, p.invalidations}},
-      {"mem_stall_cycles", {s.mem_stall_cycles, p.mem_stall_cycles}},
-      {"mem_queue_cycles", {s.mem_queue_cycles, p.mem_queue_cycles}},
-      {"mem_busy_cycles", {s.mem_busy_cycles, p.mem_busy_cycles}},
-      {"steals", {s.steals, p.steals}},
+      {"cycles", {e.cycles, a.cycles}},
+      {"instructions", {e.instructions, a.instructions}},
+      {"tasks_executed", {e.tasks_executed, a.tasks_executed}},
+      {"l1_hits", {e.l1_hits, a.l1_hits}},
+      {"l2_hits", {e.l2_hits, a.l2_hits}},
+      {"l2_misses", {e.l2_misses, a.l2_misses}},
+      {"writebacks", {e.writebacks, a.writebacks}},
+      {"invalidations", {e.invalidations, a.invalidations}},
+      {"mem_stall_cycles", {e.mem_stall_cycles, a.mem_stall_cycles}},
+      {"mem_queue_cycles", {e.mem_queue_cycles, a.mem_queue_cycles}},
+      {"mem_busy_cycles", {e.mem_busy_cycles, a.mem_busy_cycles}},
+      {"steals", {e.steals, a.steals}},
   };
   for (const auto& [name, v] : scalars) {
     if (v.first != v.second) return num_diff(name, v.first, v.second);
   }
-  if (auto d = vec_diff("core_busy_cycles", s.core_busy_cycles,
-                        p.core_busy_cycles);
+  if (auto d = vec_diff("core_busy_cycles", e.core_busy_cycles,
+                        a.core_busy_cycles);
       !d.empty()) {
     return d;
   }
-  if (auto d = vec_diff("task_l2_misses", s.task_l2_misses, p.task_l2_misses);
+  if (auto d = vec_diff("task_l2_misses", e.task_l2_misses, a.task_l2_misses);
       !d.empty()) {
     return d;
   }
-  if (auto d = vec_diff("task_refs", s.task_refs, p.task_refs); !d.empty()) {
+  if (auto d = vec_diff("task_refs", e.task_refs, a.task_refs); !d.empty()) {
     return d;
   }
   return "";
-}
-
-SerialDivergence verify_serial(CmpSimulator& sim, const TaskDag& dag,
-                               Scheduler& sched) {
-  SerialDivergence out;
-  const int threads = sim.sim_threads();
-  const SimResult par = sim.run(dag, sched);
-  out.committed_ops = sim.parallel_stats().committed_ops;
-
-  sim.set_sim_threads(1);
-  const SimResult ser = sim.run(dag, sched);
-  sim.set_sim_threads(threads);
-
-  out.detail = diff_sim_results(ser, par);
-  if (out.detail.empty()) return out;
-  out.diverged = true;
-  if (threads <= 1 || out.committed_ops == 0) return out;
-
-  auto capped_diverges = [&](uint64_t cap) {
-    sim.set_spec_commit_cap(cap);
-    const SimResult r = sim.run(dag, sched);
-    ++out.bisection_runs;
-    return !diff_sim_results(ser, r).empty();
-  };
-  // Search invariant: the cap-committed_ops run is the diverging full run
-  // (the cap never demotes before the last op), so `hi` starts known-bad;
-  // the cap-0 run commits everything serially and must match — if it does
-  // not, the demoted path itself is broken and there is no op to localize.
-  if (capped_diverges(0)) {
-    out.detail += " (diverges even with speculation disabled: commit cap 0)";
-    sim.set_spec_commit_cap(UINT64_MAX);
-    return out;
-  }
-  uint64_t lo = 0;
-  uint64_t hi = out.committed_ops;
-  while (lo + 1 < hi) {
-    const uint64_t mid = lo + (hi - lo) / 2;
-    if (capped_diverges(mid)) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  sim.set_spec_commit_cap(UINT64_MAX);
-  // Cap hi diverges, cap hi-1 does not: committing op hi-1 speculatively
-  // is what flips the result.
-  out.first_divergent_op = hi - 1;
-  return out;
 }
 
 }  // namespace check

@@ -1,63 +1,26 @@
-// Differential verification (--verify=serial; DESIGN: src/check/).
+// Field-by-field comparison of two SimResults (DESIGN: src/check/).
 //
-// The parallel engine's contract is byte-identical SimResults at every
-// --sim-threads value. verify_serial turns that contract into a check:
-// run the simulation with the configured thread count, re-run it with
-// the serial engine, and compare field by field. On divergence it
-// *localizes* the bug: ParallelSimStats::committed_ops is a
-// deterministic coordinate (run-buffer ops consumed by the committer,
-// identical at every thread count), and CmpSimulator::set_spec_commit_cap
-// demotes a run to serial in-place commit just before op `cap` — so a
-// capped run commits ops < cap speculatively and the rest serially.
-// Divergence appearing between cap C-1 (clean) and cap C (diverged)
-// means op C-1 is the first committed op whose speculation changed the
-// result; a binary search finds it in O(log committed_ops) re-runs.
-// (For a real engine bug the cap -> diverges predicate is monotone as
-// long as the bug is triggered by speculation being live at one op,
-// which is how speculation bugs present; the bisection is a localizer,
-// not a proof.)
+// The engine's contract is that a run's SimResult depends only on its
+// inputs: arming the checkers, tracing a workload to a .dag and replaying
+// it, or serving it from the result store must all give the same result.
+// diff_sim_results turns that contract into a check with a readable
+// failure — it names the first differing field instead of failing an
+// opaque equality.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "simarch/engine.h"
 
 namespace cachesched {
-
-class TaskDag;
-class Scheduler;
-
 namespace check {
 
 /// "" when the two results are identical; otherwise a one-line
 /// description of the first differing field, e.g.
-/// "cycles: serial 12034, parallel 12035". Scalar counters are compared
+/// "cycles: expected 12034, actual 12035". Scalar counters are compared
 /// first, then the per-core and per-task vectors.
-std::string diff_sim_results(const SimResult& serial,
-                             const SimResult& parallel);
-
-struct SerialDivergence {
-  bool diverged = false;
-  /// First differing field of the full-run comparison (empty if clean).
-  std::string detail;
-  /// Committed ops of the parallel run — the bisection domain.
-  uint64_t committed_ops = 0;
-  /// First committed op whose speculative commit changed the result.
-  /// UINT64_MAX when the runs agree, or when even the cap-0 run (all
-  /// commits serial) diverges — then `detail` says so and the fault is
-  /// in the demoted path itself, not in speculation.
-  uint64_t first_divergent_op = UINT64_MAX;
-  /// Re-runs the bisection performed (diagnostics).
-  uint64_t bisection_runs = 0;
-};
-
-/// Runs `dag` under `sched` at sim's configured thread count, re-runs
-/// serially, compares, and bisects any divergence (see file comment).
-/// sim's thread count and commit cap are restored before returning.
-/// With sim_threads <= 1 the comparison is trivially clean.
-SerialDivergence verify_serial(CmpSimulator& sim, const TaskDag& dag,
-                               Scheduler& sched);
+std::string diff_sim_results(const SimResult& expected,
+                             const SimResult& actual);
 
 }  // namespace check
 }  // namespace cachesched

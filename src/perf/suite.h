@@ -6,11 +6,6 @@
 //   engine/gen_dnc/pdf     — the same metric over a synthetic src/gen
 //                            workload, so generator-path throughput is
 //                            tracked too;
-//   engine_parallel/*      — one simulation executed by the speculative
-//                            parallel engine (--sim-threads): mergesort
-//                            under PDF at t1/t2/t4 (Mrefs_per_sec) plus
-//                            speedup_t4 (t4 over t1); single-run speedup
-//                            is only meaningful on a multi-core host;
 //   profiler/lru_stack     — LruStackModel throughput (Maccesses_per_sec)
 //                            over the mergesort reference stream;
 //   sweep/jobs_1 & jobs_N  — experiment-sweep engine throughput

@@ -14,15 +14,16 @@
 // and asymptotics (Mattson's algorithm). A reference's distance is the
 // count of live slots after its previous one; the blocked counts make
 // that walk proportional to the distance itself (short reuse is a
-// handful of ops) where the earlier Fenwick-over-timestamps formulation
-// paid log(n) scattered memory probes on every query *and* update.
+// handful of ops) where the earlier prefix-sum tree over timestamps paid
+// log(n) scattered memory probes on every query *and* update.
 //
 // The line -> (slot, last task) map is *paged*: lines share a page block
 // of 512 consecutive lines, found through a small open-addressed page
 // table (plus a last-page memo). Real traces are stream-heavy, so
 // consecutive references land in the same 8 KB block and the map stays
 // in the host's cache — a flat hash of the line scattered every lookup
-// and was the profiler's residual bottleneck after the Fenwick was gone.
+// and was the profiler's residual bottleneck after the prefix-sum tree
+// was gone.
 #pragma once
 
 #include <cstddef>

@@ -60,10 +60,9 @@ std::vector<std::pair<std::string, std::string>> split_params(
 }
 
 constexpr const char* kSiteNames[kNumFaultSites] = {
-    "store.write.short",  "store.rename.fail",
-    "store.read.torrent", "alloc.workload_build",
-    "engine.spec.conflict_storm", "engine.stall",
-    "sched.dispatch.stall", "sched.steal.contend",
+    "store.write.short",    "store.rename.fail", "store.read.torrent",
+    "alloc.workload_build", "engine.stall",      "sched.dispatch.stall",
+    "sched.steal.contend",
 };
 
 bool is_stall_site(FaultSite s) {

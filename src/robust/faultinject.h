@@ -3,7 +3,7 @@
 // Production code declares named *injection sites* at the exact points
 // where real-world failures strike — a store write that tears, a rename
 // that fails, a read that observes a torn entry, an allocation that
-// throws, a speculation conflict storm — and asks `fault_point(site)`
+// throws, a stalled engine — and asks `fault_point(site)`
 // whether the armed schedule says this particular hit should fail. A
 // disarmed process answers with a single relaxed atomic load, so the
 // instrumentation is free in normal runs.
@@ -42,25 +42,21 @@
 //   alloc.workload_build       workload construction throws TransientError
 //                              (stands in for bad_alloc under memory
 //                              pressure).
-//   engine.spec.conflict_storm the parallel engine treats every delivered
-//                              invalidation as a speculation conflict,
-//                              forcing rollbacks until the storm detector
-//                              demotes the run to serial.
 //   engine.stall               engine poll points sleep `ms` per fire —
 //                              a pure time dilation (results unchanged)
 //                              used to test watchdogs and live kills.
-//   sched.dispatch.stall       task dispatch (both engines' start_task)
+//   sched.dispatch.stall       task dispatch (the engine's start_task)
 //                              sleeps `ms` per fire — wall-clock only, so
 //                              results stay byte-identical while the
 //                              watchdog sees a scheduler that crawls.
 //   sched.steal.contend        a work-stealing steal attempt hits
 //                              contention: a steal-half degrades to
 //                              steal-one (the victim "won" the rest).
-//                              Deterministic — scheduler calls happen
-//                              only on the committing thread — so a
-//                              seeded schedule perturbs the steal pattern
-//                              reproducibly across the zoo's parameter
-//                              surface.
+//                              Deterministic — a simulation calls its
+//                              scheduler from one thread, in simulated
+//                              time order — so a seeded schedule
+//                              perturbs the steal pattern reproducibly
+//                              across the zoo's parameter surface.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +71,6 @@ enum class FaultSite : uint8_t {
   kStoreRenameFail,
   kStoreReadTorn,
   kAllocWorkloadBuild,
-  kSpecConflictStorm,
   kEngineStall,
   kSchedDispatchStall,
   kSchedStealContend,

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
 #include "check/invariants.h"
 #include "robust/faultinject.h"
 #include "robust/guard.h"
-#include "sched/central_fifo_scheduler.h"
-#include "sched/pdf_scheduler.h"
-#include "sched/ws_scheduler.h"
 #include "simarch/engine_detail.h"
 
 namespace cachesched {
@@ -28,9 +24,8 @@ double SimResult::core_utilization() const {
 namespace {
 
 // The run-buffer op format and the batched trace expansion live in
-// engine_detail.h, shared with the speculative parallel engine
-// (engine_parallel.cc), which pre-executes the same expansion on worker
-// threads and replays it during rollback.
+// engine_detail.h, shared with the trace spot-checks of the invariant
+// checker (check/invariants.cc).
 using engine_detail::BufOp;
 using engine_detail::evt_key;
 using engine_detail::kBufOps;
@@ -67,31 +62,24 @@ struct CoreState {
   BufOp buf[kBufOps];
 };
 
-// The simulation loop, templated on the concrete scheduler type so that
-// the per-task enqueue/acquire calls on the dispatch path are direct
-// (devirtualized, inlinable) for the registered schedulers; run()
-// dispatches by dynamic_cast and falls back to the virtual interface for
-// user-supplied schedulers.
-//
-// There is no materialized event queue: every non-idle core has exactly
-// one pending event, at its own `time`, so the next event is the non-idle
-// core with the smallest (time, id) — one P-element scan per event
-// (P <= 32) instead of heap churn on every shared-L2 access. The same
-// scan also yields the earliest event of any *other* core, which bounds
-// the dispatched core's local run-ahead (quantum), so the hot path never
-// rescans. While the dispatched core's next shared-L2 access falls
-// strictly before every other core's event it is performed inline in the
-// same run (run_core) — the event the scan would pick next is this core's
-// anyway — so the per-reference path on the L2-dominated workloads never
-// leaves the run loop or spills its accumulator state.
-// The loop is additionally templated on the checker type (src/check/):
-// the default NoCheck instantiation compiles every hook away under
-// `if constexpr`, so the disarmed hot path — the one the perf suite
-// gates — is untouched; an armed run instantiates the generic-scheduler
-// path with check::Checker and `chk` non-null.
-template <class S, class CK = check::NoCheck>
+// The simulation loop. There is no materialized event queue: every non-idle
+// core has exactly one pending event, at its own `time`, so the next event is
+// the non-idle core with the smallest (time, id) — one P-element scan per event
+// (P <= 32) instead of heap churn on every shared-L2 access. The same scan also
+// yields the earliest event of any *other* core, which bounds the dispatched
+// core's local run-ahead (quantum), so the hot path never rescans. While the
+// dispatched core's next shared-L2 access falls strictly before every other
+// core's event it is performed inline in the same run (run_core) — the event
+// the scan would pick next is this core's anyway — so the per-reference path on
+// the L2-dominated workloads never leaves the run loop or spills its
+// accumulator state.
+// The loop is templated on the checker type (src/check/): the default
+// NoCheck instantiation compiles every hook away under `if constexpr`, so
+// the disarmed hot path — the one the perf suite gates — is untouched; an
+// armed run instantiates it with check::Checker and `chk` non-null.
+template <class CK = check::NoCheck>
 SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
-                   const TaskDag& dag, S& sched,
+                   const TaskDag& dag, Scheduler& sched,
                    const robust::RunGuard* guard, CK* chk = nullptr) {
   const int P = cfg.cores;
   const int line_shift =
@@ -178,9 +166,9 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   // trace exhausted). Expansion never looks at the caches or the clock, so
   // running ahead of the simulation is safe — the batched expander itself
   // (per-block constants amortized over the batch, InterleaveFast
-  // schedules, the same emission sequence as the reference loop) is shared
-  // with the parallel engine via engine_detail.h and pinned by
-  // tests/golden_sim_test.cc and the equality test in tests/trace_test.cc.
+  // schedules, the same emission sequence as the reference loop) lives in
+  // engine_detail.h and is pinned by tests/golden_sim_test.cc and the
+  // equality test in tests/trace_test.cc.
   const TraceExpander expander{dag.interleave_data(), dag.interleave_fast(),
                                line_shift};
   auto refill = [&expander](CoreState& core) {
@@ -473,26 +461,10 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   return res;
 }
 
-// Default thread count for simulations that never call set_sim_threads:
-// $CACHESCHED_SIM_THREADS, parsed once. This is how pre-existing binaries
-// (tests, CLI) are run against the parallel engine wholesale — the CI TSan
-// job sets it to race-test every simulation a test suite performs.
-int default_sim_threads() {
-  static const int v = [] {
-    const char* e = std::getenv("CACHESCHED_SIM_THREADS");
-    if (e == nullptr || *e == '\0') return 1;
-    const long n = std::strtol(e, nullptr, 10);
-    return n >= 1 && n <= 1024 ? static_cast<int>(n) : 1;
-  }();
-  return v;
-}
-
 }  // namespace
 
 CmpSimulator::CmpSimulator(const CmpConfig& config)
-    : cfg_(config),
-      sim_threads_(default_sim_threads()),
-      check_(check::default_check_spec()) {
+    : cfg_(config), check_(check::default_check_spec()) {
   if (cfg_.cores < 1 || cfg_.cores > 32) {
     throw std::invalid_argument("1..32 cores supported");
   }
@@ -501,51 +473,14 @@ CmpSimulator::CmpSimulator(const CmpConfig& config)
   }
 }
 
-void CmpSimulator::set_sim_threads(int n) {
-  if (n < 1) throw std::invalid_argument("sim_threads must be >= 1");
-  sim_threads_ = n;
-}
-
 SimResult CmpSimulator::run(const TaskDag& dag, Scheduler& sched) {
-  par_stats_ = ParallelSimStats{};
   check_stats_ = check::CheckStats{};
-  if (sim_threads_ > 1) {
-    engine_impl::ParallelRunKnobs knobs;
-    knobs.conflict_stress = conflict_stress_;
-    knobs.commit_cap = commit_cap_;
-    knobs.diverge_at = diverge_at_;
-    if (check_.any()) {
-      check::Checker chk(check_);
-      knobs.checker = &chk;
-      const SimResult r = engine_impl::simulate_parallel(
-          cfg_, quantum_, collect_task_stats_, dag, sched, sim_threads_,
-          knobs, guard_, &par_stats_);
-      check_stats_ = chk.stats();
-      return r;
-    }
-    return engine_impl::simulate_parallel(cfg_, quantum_, collect_task_stats_,
-                                          dag, sched, sim_threads_, knobs,
-                                          guard_, &par_stats_);
-  }
   if (check_.any()) {
-    // Armed runs take the generic-scheduler instantiation: checking is a
-    // verification mode, so devirtualized dispatch buys nothing, and one
-    // extra instantiation of the templated loop keeps the four disarmed
-    // fast paths untouched.
     check::Checker chk(check_);
-    const SimResult r = simulate<Scheduler, check::Checker>(
+    const SimResult r = simulate<check::Checker>(
         cfg_, quantum_, collect_task_stats_, dag, sched, guard_, &chk);
     check_stats_ = chk.stats();
     return r;
-  }
-  if (auto* s = dynamic_cast<PdfScheduler*>(&sched)) {
-    return simulate(cfg_, quantum_, collect_task_stats_, dag, *s, guard_);
-  }
-  if (auto* s = dynamic_cast<WsScheduler*>(&sched)) {
-    return simulate(cfg_, quantum_, collect_task_stats_, dag, *s, guard_);
-  }
-  if (auto* s = dynamic_cast<CentralFifoScheduler*>(&sched)) {
-    return simulate(cfg_, quantum_, collect_task_stats_, dag, *s, guard_);
   }
   return simulate(cfg_, quantum_, collect_task_stats_, dag, sched, guard_);
 }

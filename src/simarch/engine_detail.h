@@ -1,13 +1,12 @@
-// Internals shared by the serial engine (engine.cc) and the speculative
-// parallel engine (engine_parallel.cc): the run-buffer op format and the
-// batched trace expansion that turns a task's PackedRef blocks into a
-// flat op stream.
+// Engine internals: the run-buffer op format and the batched trace
+// expansion that turns a task's PackedRef blocks into a flat op stream.
+// The serial engine (engine.cc) runs the expansion per core between
+// events; the invariant checker (check/invariants.cc) re-runs it for its
+// trace spot-checks against the reference TraceCursor.
 //
 // Expansion is a pure function of the blocks and the cursor — it never
-// looks at the caches or the clock — so both engines may run it ahead of
-// the simulation: the serial engine per-core between events, the parallel
-// engine on speculation worker threads (and again during rollback
-// replay). The emission order mirrors TraceCursor::next() exactly;
+// looks at the caches or the clock — so the engine may run it ahead of
+// the simulation. The emission order mirrors TraceCursor::next() exactly;
 // tests/golden_sim_test.cc and tests/trace_test.cc pin it.
 #pragma once
 

@@ -15,7 +15,7 @@
 // contiguous array — no pointer chasing, auto-vectorizable — and the
 // cost is proportional to the *distance* being measured, so the short
 // reuse distances that dominate real traces cost a handful of
-// operations. This replaced a Fenwick tree (util/fenwick.h), whose
+// operations. This replaced a binary indexed (prefix-sum) tree, whose
 // log(n) scattered probes at both ends of every query and update were
 // the profiler's bottleneck; set/clear here touch exactly three hot
 // counters.

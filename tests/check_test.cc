@@ -1,11 +1,10 @@
-// Tests for the runtime invariant-checking subsystem (src/check/):
-// checkspec grammar, the ShadowCache reference model, clean armed runs on
-// both engines, planted-bug mutation tests (each bug must be caught by
-// its checker), the --verify=serial bisection, and the crash-reproducer
-// round trip. The mutation tests drive the Checker hooks directly with
-// the exact call sequence a buggy engine would produce, so the checkers
-// are tested against the failure they exist to catch, not merely against
-// clean runs.
+// Tests for the runtime invariant-checking subsystem (src/check/): checkspec
+// grammar, the ShadowCache reference model, clean armed runs, planted-bug
+// mutation tests (each bug must be caught by its checker), the SimResult field
+// diff, and the crash-reproducer round trip. The mutation tests drive the
+// Checker hooks directly with the exact call sequence a buggy engine would
+// produce, so the checkers are tested against the failure they exist to catch,
+// not merely against clean runs.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -18,7 +17,6 @@
 #include "check/reproducer.h"
 #include "check/verify.h"
 #include "core/dag.h"
-#include "sched/pdf_scheduler.h"
 #include "sched/ws_scheduler.h"
 #include "simarch/cache.h"
 #include "simarch/engine.h"
@@ -127,24 +125,21 @@ TaskDag sharing_dag(int tasks) {
   return b.finish();
 }
 
-TEST(CheckedRun, CleanOnBothEnginesAndResultsUnchanged) {
+TEST(CheckedRun, CleanAndResultsUnchanged) {
   const TaskDag dag = sharing_dag(12);
   const CmpConfig cfg = tiny_config(4);
   WsScheduler base_s;
   CmpSimulator plain(cfg);
   const SimResult base = plain.run(dag, base_s);
 
-  for (int threads : {1, 4}) {
-    CmpSimulator sim(cfg);
-    sim.set_sim_threads(threads);
-    sim.set_check(CheckSpec::all(/*period=*/16));
-    WsScheduler s;
-    const SimResult r = sim.run(dag, s);
-    EXPECT_EQ(check::diff_sim_results(base, r), "") << threads;
-    EXPECT_GT(sim.check_stats().refs, 0u) << threads;
-    EXPECT_GT(sim.check_stats().audits, 0u) << threads;
-    EXPECT_GT(sim.check_stats().spot_checks, 0u) << threads;
-  }
+  CmpSimulator sim(cfg);
+  sim.set_check(CheckSpec::all(/*period=*/16));
+  WsScheduler s;
+  const SimResult r = sim.run(dag, s);
+  EXPECT_EQ(check::diff_sim_results(base, r), "");
+  EXPECT_GT(sim.check_stats().refs, 0u);
+  EXPECT_GT(sim.check_stats().audits, 0u);
+  EXPECT_GT(sim.check_stats().spot_checks, 0u);
 }
 
 TEST(CheckedRun, DisarmedRunReportsZeroStats) {
@@ -349,67 +344,9 @@ TEST(Mutation, ViolationContextRoundTrips) {
   EXPECT_NE(std::string(v.what()).find("[coherence]"), std::string::npos);
 }
 
-// ------------------------------------------------------- differential run
+// ------------------------------------------------------- result diff
 
-TEST(VerifySerial, CleanParallelRunDoesNotDiverge) {
-  const TaskDag dag = sharing_dag(12);
-  CmpSimulator sim(tiny_config(4));
-  sim.set_sim_threads(4);
-  WsScheduler s;
-  const check::SerialDivergence d = check::verify_serial(sim, dag, s);
-  EXPECT_FALSE(d.diverged) << d.detail;
-  EXPECT_GT(d.committed_ops, 0u);
-  EXPECT_EQ(d.bisection_runs, 0u);
-  EXPECT_EQ(sim.sim_threads(), 4);  // restored
-}
-
-// Read-only sharing: no invalidations, so the speculative engine never
-// demotes and the planted divergence below is guaranteed to fire while
-// speculation is live.
-TaskDag read_sharing_dag(int tasks) {
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < tasks; ++i) {
-    const TaskId deps[] = {root};
-    const uint64_t priv = 0x10000u + static_cast<uint64_t>(i) * 4096;
-    const RefBlock blocks[] = {
-        RefBlock::stride_ref(priv, 24, 128, false, 4),
-        RefBlock::stride_ref(0, 16, 128, false, 4),  // shared, read-only
-        RefBlock::compute(200),
-    };
-    b.add_task(std::span<const TaskId>(deps, 1),
-               std::span<const RefBlock>(blocks, 3));
-  }
-  return b.finish();
-}
-
-TEST(VerifySerial, BisectionLocalizesPlantedDivergence) {
-  const TaskDag dag = read_sharing_dag(12);
-  CmpSimulator sim(tiny_config(4));
-  sim.set_sim_threads(4);
-  // Measure the run's committed-op count, then plant the divergence
-  // in the middle of the committed stream.
-  {
-    WsScheduler s;
-    (void)sim.run(dag, s);
-  }
-  const uint64_t total = sim.parallel_stats().committed_ops;
-  ASSERT_GT(total, 64u);
-  ASSERT_EQ(sim.parallel_stats().demotions, 0u)
-      << "workload demoted to serial commit; the planted fault would not fire";
-  const uint64_t k = total / 2;
-  sim.set_diverge_at(k);
-  WsScheduler s;
-  const check::SerialDivergence d = check::verify_serial(sim, dag, s);
-  EXPECT_TRUE(d.diverged);
-  EXPECT_EQ(d.first_divergent_op, k) << d.detail;
-  EXPECT_GT(d.bisection_runs, 0u);
-  // log2 bisection, plus the cap-0 sanity probe.
-  EXPECT_LE(d.bisection_runs, 2u + 64u - __builtin_clzll(total));
-  EXPECT_EQ(sim.sim_threads(), 4);
-}
-
-TEST(VerifySerial, DiffNamesTheDivergentField) {
+TEST(DiffSimResults, DiffNamesTheDivergentField) {
   SimResult a;
   a.scheduler = "ws";
   a.cores = 4;
@@ -417,8 +354,7 @@ TEST(VerifySerial, DiffNamesTheDivergentField) {
   SimResult b = a;
   EXPECT_EQ(check::diff_sim_results(a, b), "");
   b.cycles = 101;
-  const std::string d = check::diff_sim_results(a, b);
-  EXPECT_NE(d.find("cycles"), std::string::npos) << d;
+  EXPECT_EQ(check::diff_sim_results(a, b), "cycles: expected 100, actual 101");
 }
 
 // ------------------------------------------------------ crash reproducer
@@ -433,10 +369,9 @@ TEST(CrashReproFile, SerializeParseRoundTrips) {
   r.task_ws = 4096;
   r.fine_grained = false;
   r.seed = 7;
-  r.sim_threads = 4;
   r.overrides.l2_hit_cycles = 19;
   r.check = "all,period=16";
-  r.verify = "serial";
+  r.verify = "shadow";
   r.op_index = 12345;
   r.violation = "check violation [lru] at op 12345: multi\nline detail";
   const CrashRepro q = CrashRepro::parse(r.serialize());
@@ -447,7 +382,7 @@ TEST(CrashReproFile, SerializeParseRoundTrips) {
   EXPECT_EQ(q.scale, 0.25);
   EXPECT_EQ(q.task_ws, 4096u);
   EXPECT_FALSE(q.fine_grained);
-  EXPECT_EQ(q.sim_threads, 4);
+  EXPECT_EQ(q.verify, "shadow");
   EXPECT_EQ(q.op_index, 12345u);
   // Newlines are flattened on serialize — one key=value per line.
   EXPECT_EQ(q.violation.find('\n'), std::string::npos);
@@ -482,6 +417,31 @@ TEST(CrashReproFile, Rejections) {
   const size_t c = badval.find("cores=");
   badval.replace(c, badval.find('\n', c) - c, "cores=banana");
   EXPECT_THROW(CrashRepro::parse(badval), std::invalid_argument);
+  // verify= takes only the modes the CLI still has.
+  std::string badverify = good;
+  const size_t v = badverify.find("verify=none");
+  ASSERT_NE(v, std::string::npos);
+  badverify.replace(v, 11, "verify=serial");
+  EXPECT_THROW(CrashRepro::parse(badverify), std::invalid_argument);
+}
+
+TEST(CrashReproFile, RejectsV1WithAClearMessage) {
+  CrashRepro base;
+  base.workload = "lu";
+  base.sched = "ws";
+  const std::string v2_magic = "cachesched-crash-repro v2";
+  std::string v1 = base.serialize();
+  ASSERT_EQ(v1.rfind(v2_magic, 0), 0u);
+  v1.replace(0, v2_magic.size(), "cachesched-crash-repro v1");
+  try {
+    (void)CrashRepro::parse(v1);
+    ADD_FAILURE() << "a v1 reproducer parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("v1 reproducers are no longer supported"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(CrashReproFile, SaveLoadRoundTrips) {

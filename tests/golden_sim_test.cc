@@ -5,20 +5,15 @@
 // timestamp-LRU caches, per-op TraceCursor expansion) for a small
 // app x scheduler x configuration matrix. The optimized engine must
 // reproduce every counter byte-for-byte: the restructuring (run buffers,
-// per-core event scan, fingerprint-probed caches, devirtualized scheduler
-// dispatch) is required to change *nothing* about the simulated machine.
+// per-core event scan, fingerprint-probed caches) is required to change
+// *nothing* about the simulated machine.
 //
 // If a change legitimately alters simulation semantics (not performance),
 // regenerate the table by printing the same fields from a build at the
 // old semantics and update this file in the same commit — never adjust a
 // single row to make a failure go away.
-//
-// Every fixture runs at --sim-threads 1, 2, 4 and 8: the speculative
-// parallel engine (engine_parallel.cc) must reproduce the serial engine's
-// SimResult byte-for-byte at every thread count, against the same
-// pre-optimization values.
 #include <cstdint>
-#include <tuple>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -126,8 +121,7 @@ const GoldenCase kGolden[] = {
     // family, recorded from the serial engine at the commit introducing
     // them. These pin the parameterized stealing paths (randomized
     // victims + steal-half), the banked-L2 affinity victim order, the
-    // priority keys and the cfb admission throttle — at every
-    // --sim-threads count like every other fixture.
+    // priority keys and the cfb admission throttle.
     {"mergesort", "ws:victims=rand,steal=half,seed=7", 4, 0.03125, 0, 1000, 0,
      171125023, 436457232, 26365, 115453, 515171, 773790, 337151, 0,
      233260733, 1123733, 33328230, 25, 676732385, 773790, 1404414},
@@ -142,12 +136,10 @@ const GoldenCase kGolden[] = {
      177894127, 1442827, 27252360, 0, 619154404, 588171, 1261054},
 };
 
-class GoldenSim
-    : public ::testing::TestWithParam<std::tuple<GoldenCase, int>> {};
+class GoldenSim : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenSim, MatchesPreOptimizationEngine) {
-  const GoldenCase& g = std::get<0>(GetParam());
-  const int sim_threads = std::get<1>(GetParam());
+  const GoldenCase& g = GetParam();
   CmpConfig cfg = default_config(g.cores).scaled(g.scale);
   cfg.l2_banks = g.l2_banks;
   AppOptions opt;
@@ -157,7 +149,6 @@ TEST_P(GoldenSim, MatchesPreOptimizationEngine) {
   CmpSimulator sim(cfg);
   sim.set_quantum_cycles(g.quantum);
   sim.set_collect_task_stats(true);
-  sim.set_sim_threads(sim_threads);
   const auto sched = make_scheduler(g.sched);
   const SimResult r = sim.run(w.dag, *sched);
 
@@ -184,9 +175,8 @@ TEST_P(GoldenSim, MatchesPreOptimizationEngine) {
   EXPECT_EQ(task_refs, g.task_ref_sum);
 }
 
-std::string case_name(
-    const ::testing::TestParamInfo<std::tuple<GoldenCase, int>>& info) {
-  const GoldenCase& g = std::get<0>(info.param);
+std::string case_name(const ::testing::TestParamInfo<GoldenCase>& info) {
+  const GoldenCase& g = info.param;
   // Gen and scheduler specs contain characters gtest rejects; keep the
   // family name and mark the parameterized form.
   auto sanitize = [](std::string s, const char* suffix) {
@@ -203,12 +193,10 @@ std::string case_name(
   if (g.quantum == 0) n += "_q0";
   if (g.scale != 0.03125) n += "_small";
   if (g.task_ws != 0) n += "_tws";
-  return n + "_t" + std::to_string(std::get<1>(info.param));
+  return n;
 }
 
-INSTANTIATE_TEST_SUITE_P(Matrix, GoldenSim,
-                         ::testing::Combine(::testing::ValuesIn(kGolden),
-                                            ::testing::Values(1, 2, 4, 8)),
+INSTANTIATE_TEST_SUITE_P(Matrix, GoldenSim, ::testing::ValuesIn(kGolden),
                          case_name);
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Fault injection and fault tolerance (src/robust/), end to end:
 // spec-grammar strictness, deterministic fire schedules, the sweep
-// engine's retry/quarantine/watchdog/cancel policies, merge-with-holes,
-// and the parallel engine's rollback-storm demotion to serial.
+// engine's retry/quarantine/watchdog/cancel policies and
+// merge-with-holes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -485,100 +485,6 @@ TEST(SweepFaults, StoreFaultsUnderRetryYieldByteIdenticalResults) {
   EXPECT_EQ(merged.to_table().to_csv(), plain.to_table().to_csv());
   EXPECT_EQ(merged.to_json(), plain.to_json());
   fs::remove_all(dir);
-}
-
-// --------------------------------------------- rollback-storm demotion
-
-/// Ping-pong write sharing: every task writes the same 32 lines, so each
-/// cross-core execution invalidates live L1 lines of the previous writer
-/// — a stream of delivered invalidations for the storm detector to see.
-TaskDag pingpong_dag() {
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < 16; ++i) {
-    b.add_task({root}, {RefBlock::stride_ref(0, 32, 128, true, 2),
-                        RefBlock::compute(500),
-                        RefBlock::stride_ref(0, 32, 128, true, 2)});
-  }
-  return b.finish();
-}
-
-CmpConfig storm_config() {
-  CmpConfig c;
-  c.name = "tiny";
-  c.cores = 4;
-  c.l1_bytes = 1024;
-  c.l1_ways = 2;
-  c.l2_bytes = 8192;
-  c.l2_ways = 4;
-  c.l2_hit_cycles = 10;
-  c.line_bytes = 128;
-  c.mem_latency_cycles = 300;
-  c.mem_service_cycles = 30;
-  c.task_dispatch_cycles = 0;
-  return c;
-}
-
-void expect_identical(const SimResult& a, const SimResult& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.tasks_executed, b.tasks_executed);
-  EXPECT_EQ(a.l1_hits, b.l1_hits);
-  EXPECT_EQ(a.l2_hits, b.l2_hits);
-  EXPECT_EQ(a.l2_misses, b.l2_misses);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.invalidations, b.invalidations);
-  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
-  EXPECT_EQ(a.mem_queue_cycles, b.mem_queue_cycles);
-  EXPECT_EQ(a.mem_busy_cycles, b.mem_busy_cycles);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.core_busy_cycles, b.core_busy_cycles);
-}
-
-TEST(StormDemotion, ConflictStormDemotesToSerialByteIdentically) {
-  const TaskDag dag = pingpong_dag();
-  const CmpConfig cfg = storm_config();
-  PdfScheduler s1;
-  CmpSimulator serial(cfg);
-  serial.set_quantum_cycles(1000);
-  const SimResult want = serial.run(dag, s1);
-  ASSERT_GT(want.invalidations, 8u) << "DAG must ping-pong lines";
-
-  // Force every delivered invalidation to conflict: speculation loses by
-  // construction, the storm detector must demote, and the demoted run
-  // must still equal the serial engine bit for bit.
-  FaultGuard faults("engine.spec.conflict_storm:every=1");
-  PdfScheduler s2;
-  CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(1000);
-  sim.set_sim_threads(4);
-  const SimResult got = sim.run(dag, s2);
-  expect_identical(want, got);
-  EXPECT_EQ(sim.parallel_stats().demotions, 1u);
-  EXPECT_GE(sim.parallel_stats().rollbacks, 8u);
-}
-
-TEST(StormDemotion, ReadSharingNeverDemotes) {
-  // Read-only sharing produces no invalidations, so no rollbacks and no
-  // demotion: the detector must not be hair-triggered on healthy runs.
-  DagBuilder b;
-  const TaskId root = b.add_task({}, {RefBlock::compute(10)});
-  for (int i = 0; i < 16; ++i) {
-    b.add_task({root}, {RefBlock::stride_ref(0, 32, 128, false, 2),
-                        RefBlock::compute(500)});
-  }
-  const TaskDag dag = b.finish();
-  const CmpConfig cfg = storm_config();
-  PdfScheduler s1, s2;
-  CmpSimulator serial(cfg);
-  serial.set_quantum_cycles(1000);
-  const SimResult want = serial.run(dag, s1);
-  CmpSimulator sim(cfg);
-  sim.set_quantum_cycles(1000);
-  sim.set_sim_threads(4);
-  const SimResult got = sim.run(dag, s2);
-  expect_identical(want, got);
-  EXPECT_EQ(sim.parallel_stats().demotions, 0u);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 
 #include "util/bitrank.h"
 #include "util/cli.h"
-#include "util/fenwick.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -122,39 +121,6 @@ TEST(Rng, XoshiroDoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(Fenwick, MatchesNaivePrefixSums) {
-  constexpr size_t kN = 200;
-  Fenwick f(kN);
-  std::vector<int64_t> naive(kN, 0);
-  SplitMix64 rng(5);
-  for (int iter = 0; iter < 1000; ++iter) {
-    const size_t i = rng.next() % kN;
-    const int64_t delta = static_cast<int64_t>(rng.next() % 11) - 5;
-    f.add(i, delta);
-    naive[i] += delta;
-    const size_t q = rng.next() % (kN + 1);
-    EXPECT_EQ(f.prefix_sum(q),
-              std::accumulate(naive.begin(), naive.begin() + q, int64_t{0}));
-  }
-}
-
-TEST(Fenwick, RangeSum) {
-  Fenwick f(10);
-  for (size_t i = 0; i < 10; ++i) f.add(i, static_cast<int64_t>(i));
-  EXPECT_EQ(f.range_sum(3, 7), 3 + 4 + 5 + 6);
-  EXPECT_EQ(f.range_sum(0, 10), 45);
-  EXPECT_EQ(f.range_sum(5, 5), 0);
-  EXPECT_EQ(f.total(), 45);
-}
-
-TEST(Fenwick, Reset) {
-  Fenwick f(4);
-  f.add(0, 10);
-  f.reset(8);
-  EXPECT_EQ(f.size(), 8u);
-  EXPECT_EQ(f.total(), 0);
 }
 
 CliArgs make_args(std::vector<std::string> argv) {

@@ -3,26 +3,17 @@
 //   cachesched_cli run   --app=mergesort --cores=16 [--sched=pdf,ws]
 //                        [--scale=0.125] [--tech=default|45nm]
 //                        [--l2-hit=N] [--mem-latency=N] [--task-ws=BYTES]
-//                        [--sim-threads=N]
-//                        [--check=SPEC] [--verify=none|shadow|serial]
+//                        [--check=SPEC] [--verify=none|shadow]
 //                        [--repro-out=FILE]  # runtime invariant checking
 //                        (grammar: src/check/checkspec.h; also armed by
 //                        $CACHESCHED_CHECK). --verify=shadow runs the
 //                        reference cache model in lockstep (coherence+lru
-//                        at period 1); --verify=serial additionally
-//                        re-runs a --sim-threads=N simulation serially,
-//                        compares SimResults field by field and bisects
-//                        any divergence to the first divergent committed
-//                        op. A violation writes a crash reproducer
-//                        (default crash.repro) and exits 4.
-//                        [--diverge-at=K]  # test knob: corrupt the
-//                        parallel engine's timing at committed op K, so
-//                        CI can assert the --verify=serial failure path
-//                        (bisection, reproducer, exit code) end to end.
+//                        at period 1). A violation writes a crash
+//                        reproducer (default crash.repro) and exits 4.
 //   cachesched_cli trace --app=hashjoin --cores=8 --out=join.dag
 //                        [--scale=0.125]            # collect once...
 //   cachesched_cli replay --dag=join.dag --cores=8 [--sched=pdf]
-//                        [--scale=0.125] [--sim-threads=N]  # ...simulate many
+//                        [--scale=0.125]            # ...simulate many
 //                        (accepts --check/--verify/--repro-out like run)
 //   cachesched_cli replay-crash --repro=crash.repro  # re-create the run a
 //                        crash reproducer captured, with the same checkers
@@ -37,9 +28,7 @@
 //                        [--csv=path] [--json=path] [--progress]
 //                        [--l2-hit=N] [--mem-latency=N] [--banks=N]
 //                        [--dispatch=N] [--quantum=N] # parallel job matrix
-//                        [--sim-threads=N]  # threads per simulation,
-//                        composing with --jobs (results are byte-identical
-//                        at every thread count; see simarch/engine.h)
+//                        (one serial simulation per job, --jobs at once)
 //   cachesched_cli sweep ... --store=DIR [--resume]   # incremental: load
 //                        completed jobs from the content-addressed result
 //                        store, simulate + persist only the rest
@@ -84,12 +73,11 @@
 // --dispatch, --quantum) are parsed once into a ConfigOverrides
 // (simarch/config.h) and accepted by run/trace/replay/sweep alike.
 //
-// Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage
-// error (unknown flags/subcommands, bad spec strings), 3 sweep completed
-// with quarantined jobs / merge assembled with holes, 4 an armed checker
-// caught an invariant violation or --verify found a divergence (a crash
-// reproducer was written), 130 interrupted by SIGINT/SIGTERM after a
-// graceful drain. Errors go to stderr.
+// Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage error
+// (unknown flags/subcommands, bad spec strings), 3 sweep completed with
+// quarantined jobs / merge assembled with holes, 4 an armed checker caught an
+// invariant violation (a crash reproducer was written), 130 interrupted by
+// SIGINT/SIGTERM after a graceful drain. Errors go to stderr.
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -103,7 +91,6 @@
 #include "check/checkspec.h"
 #include "check/invariants.h"
 #include "check/reproducer.h"
-#include "check/verify.h"
 #include "core/dag_io.h"
 #include "exp/store.h"
 #include "exp/sweep.h"
@@ -202,46 +189,28 @@ int check_scheds(const std::vector<std::string>& scheds) {
   return 0;
 }
 
-/// --sim-threads: 0 = flag absent, leave the simulator default
-/// ($CACHESCHED_SIM_THREADS or serial); an explicit value must be >= 1.
-int sim_threads_from_args(const CliArgs& args) {
-  const int n = static_cast<int>(args.get_int("sim-threads", 0));
-  if (args.has("sim-threads") && n < 1) {
-    throw std::invalid_argument("--sim-threads must be >= 1");
-  }
-  return n;
-}
-
 /// The --check/--verify/--repro-out vocabulary of run and replay.
 /// --verify=shadow arms the lockstep reference cache model (coherence +
-/// lru at period 1) on top of whatever --check armed; --verify=serial
-/// additionally re-runs the simulation serially and bisects divergences
-/// (check/verify.h).
+/// lru at period 1) on top of whatever --check armed.
 struct CheckFlags {
   check::CheckSpec check;       // armed checkers (incl. --verify=shadow)
-  std::string verify = "none";  // none | shadow | serial
+  std::string verify = "none";  // none | shadow
   std::string repro_out = "crash.repro";
-  // Test knob (CI's exit-code contract check): corrupt the parallel
-  // engine's timing at committed op K so --verify=serial has a real
-  // divergence to localize. UINT64_MAX = off.
-  uint64_t diverge_at = UINT64_MAX;
 };
 
 int check_flags_from_args(const CliArgs& args, CheckFlags* out) {
   const std::string cs = args.get("check", "");
   const std::string vs = args.get("verify", "none");
   out->repro_out = args.get("repro-out", "crash.repro");
-  const int64_t da = args.get_int("diverge-at", -1);
-  if (da >= 0) out->diverge_at = static_cast<uint64_t>(da);
   try {
     if (!cs.empty()) out->check = check::CheckSpec::parse(cs);
     if (vs == "shadow") {
       out->check.coherence = true;
       out->check.lru = true;
       out->check.period = 1;
-    } else if (vs != "none" && vs != "serial") {
-      throw std::invalid_argument("--verify must be none, shadow or serial "
-                                  "(got \"" + vs + "\")");
+    } else if (vs != "none") {
+      throw std::invalid_argument("--verify must be none or shadow (got \"" +
+                                  vs + "\")");
     }
     out->verify = vs;
   } catch (const std::invalid_argument& e) {
@@ -251,7 +220,7 @@ int check_flags_from_args(const CliArgs& args, CheckFlags* out) {
   return kExitOk;
 }
 
-/// Reports a violation/divergence, writes the crash reproducer, and
+/// Reports a violation, writes the crash reproducer, and
 /// returns kExitVerifyFailed for the caller to return.
 int fail_verify(const CheckFlags& cf, const check::CrashRepro& repro) {
   try {
@@ -268,43 +237,24 @@ int fail_verify(const CheckFlags& cf, const check::CrashRepro& repro) {
 /// Runs every scheduler and prints the result table. `cf`/`base` carry
 /// the check configuration and the reproducer identity of the run (base's
 /// sched/verify/op_index/violation fields are filled in here); an
-/// invariant violation or serial divergence writes the reproducer and
-/// returns kExitVerifyFailed.
+/// invariant violation writes the reproducer and returns
+/// kExitVerifyFailed.
 int report(const TaskDag& dag, const CmpConfig& cfg,
            const std::vector<std::string>& scheds,
-           std::optional<uint64_t> quantum, int sim_threads,
-           const CheckFlags& cf, check::CrashRepro base) {
+           std::optional<uint64_t> quantum, const CheckFlags& cf,
+           check::CrashRepro base) {
   Table t({"sched", "cycles", "L2miss/1Kinstr", "l1_hits", "l2_hits",
            "l2_misses", "bw_util%", "core_util%", "steals"});
   base.verify = cf.verify;
   for (const auto& sched : scheds) {
     CmpSimulator sim(cfg);
     if (quantum) sim.set_quantum_cycles(*quantum);
-    if (sim_threads > 0) sim.set_sim_threads(sim_threads);
     if (cf.check.any()) sim.set_check(cf.check);
-    if (cf.diverge_at != UINT64_MAX) sim.set_diverge_at(cf.diverge_at);
     auto s = make_scheduler(sched);
     base.sched = sched;
     SimResult r;
     try {
       r = sim.run(dag, *s);
-      if (cf.verify == "serial" && sim.sim_threads() > 1) {
-        const check::SerialDivergence d = check::verify_serial(sim, dag, *s);
-        if (d.diverged) {
-          std::cerr << "cachesched_cli: serial verification FAILED for "
-                    << sched << ": " << d.detail;
-          if (d.first_divergent_op != UINT64_MAX) {
-            std::cerr << " (first divergent committed op "
-                      << d.first_divergent_op << ", localized in "
-                      << d.bisection_runs << " bisection runs)";
-          }
-          std::cerr << "\n";
-          base.op_index =
-              d.first_divergent_op == UINT64_MAX ? 0 : d.first_divergent_op;
-          base.violation = "serial divergence: " + d.detail;
-          return fail_verify(cf, base);
-        }
-      }
     } catch (const check::CheckViolation& e) {
       std::cerr << "cachesched_cli: " << e.what() << "\n";
       base.op_index = e.op_index();
@@ -327,7 +277,7 @@ int report(const TaskDag& dag, const CmpConfig& cfg,
 /// The reproducer identity shared by run and replay: everything needed
 /// to re-create the run except the per-scheduler fields report() fills.
 check::CrashRepro base_repro(const CliArgs& args, const CheckFlags& cf,
-                             const AppOptions& opt, int sim_threads) {
+                             const AppOptions& opt) {
   check::CrashRepro r;
   r.tech = args.get("tech", "default");
   r.cores = static_cast<int>(args.get_int("cores", 8));
@@ -335,7 +285,6 @@ check::CrashRepro base_repro(const CliArgs& args, const CheckFlags& cf,
   r.task_ws = opt.mergesort_task_ws;
   r.fine_grained = opt.fine_grained;
   r.seed = opt.seed;
-  r.sim_threads = sim_threads;
   r.overrides = overrides_from_args(args);
   r.check = cf.check.str();
   return r;
@@ -351,14 +300,16 @@ int cmd_run(const CliArgs& args) {
   if (const int rc = check_scheds(scheds)) return rc;
   CheckFlags cf;
   if (const int rc = check_flags_from_args(args, &cf)) return rc;
-  const int sim_threads = sim_threads_from_args(args);
-  const Workload w = make_workload(args.get("app", "mergesort"), cfg, opt);
+  const std::string app = args.get("app", "mergesort");
+  // Every flag has been queried; fail on typos before the workload build.
+  if (const int rc = args.check_unused()) return rc;
+  const Workload w = make_workload(app, cfg, opt);
   std::cout << w.name << ": " << w.params << " (" << w.dag.num_tasks()
             << " tasks, " << w.dag.total_refs() << " refs)\n";
-  check::CrashRepro base = base_repro(args, cf, opt, sim_threads);
-  base.workload = args.get("app", "mergesort");
+  check::CrashRepro base = base_repro(args, cf, opt);
+  base.workload = app;
   return report(w.dag, cfg, scheds, overrides_from_args(args).quantum_cycles,
-                sim_threads, cf, std::move(base));
+                cf, std::move(base));
 }
 
 int cmd_trace(const CliArgs& args) {
@@ -387,24 +338,27 @@ int cmd_replay(const CliArgs& args) {
   if (const int rc = check_scheds(scheds)) return rc;
   CheckFlags cf;
   if (const int rc = check_flags_from_args(args, &cf)) return rc;
-  const int sim_threads = sim_threads_from_args(args);
+  const CmpConfig cfg = config_from_args(args);
+  AppOptions opt;
+  opt.scale = args.get_double("scale", 0.125);
+  // Every flag has been queried; fail on typos before the load.
+  if (const int rc = args.check_unused()) return rc;
   const TaskDag dag = load_dag(path);
   std::cout << "loaded " << dag.num_tasks() << " tasks / " << dag.total_refs()
             << " refs from " << path << "\n";
-  AppOptions opt;
-  opt.scale = args.get_double("scale", 0.125);
-  check::CrashRepro base = base_repro(args, cf, opt, sim_threads);
+  check::CrashRepro base = base_repro(args, cf, opt);
   // A replayed DAG has no generator spec; replay-crash resolves the
   // "dagfile:" prefix by loading the same file.
   base.workload = "dagfile:" + path;
-  return report(dag, config_from_args(args), scheds,
-                overrides_from_args(args).quantum_cycles, sim_threads, cf,
-                std::move(base));
+  return report(dag, cfg, scheds, overrides_from_args(args).quantum_cycles,
+                cf, std::move(base));
 }
 
 /// `replay-crash`: re-creates the run a crash reproducer captured —
-/// same workload, scheduler, configuration, thread count and armed
-/// checkers — and reports whether the violation reproduces.
+/// same workload, scheduler, configuration and armed checkers — and
+/// reports whether the violation reproduces. An unreadable reproducer
+/// (bad magic — including a v1 file — or a malformed line) is a usage
+/// error, exit 2.
 int cmd_replay_crash(const CliArgs& args) {
   const std::string path = args.get("repro", "");
   if (path.empty()) {
@@ -412,10 +366,15 @@ int cmd_replay_crash(const CliArgs& args) {
     return kExitUsage;
   }
   if (const int rc = args.check_unused()) return rc;
-  const check::CrashRepro r = check::CrashRepro::load(path);
+  check::CrashRepro r;
+  try {
+    r = check::CrashRepro::load(path);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "replay-crash: " << path << ": " << e.what() << "\n";
+    return kExitUsage;
+  }
   std::cerr << "replay-crash: " << r.workload << " / " << r.sched
             << " cores=" << r.cores << " scale=" << r.scale
-            << " sim-threads=" << r.sim_threads
             << (r.check.empty() ? "" : " check=" + r.check)
             << " verify=" << r.verify << "\n";
   std::cerr << "replay-crash: recorded violation at op " << r.op_index
@@ -452,20 +411,10 @@ int cmd_replay_crash(const CliArgs& args) {
   if (r.overrides.quantum_cycles) {
     sim.set_quantum_cycles(*r.overrides.quantum_cycles);
   }
-  if (r.sim_threads > 0) sim.set_sim_threads(r.sim_threads);
   if (!r.check.empty()) sim.set_check(check::CheckSpec::parse(r.check));
   auto s = make_scheduler(sched);
   try {
     (void)sim.run(*dag, *s);
-    if (r.verify == "serial" && sim.sim_threads() > 1) {
-      const check::SerialDivergence d = check::verify_serial(sim, *dag, *s);
-      if (d.diverged) {
-        std::cerr << "replay-crash: REPRODUCED serial divergence: "
-                  << d.detail << " (first divergent committed op "
-                  << d.first_divergent_op << ")\n";
-        return kExitVerifyFailed;
-      }
-    }
   } catch (const check::CheckViolation& e) {
     std::cerr << "replay-crash: REPRODUCED: " << e.what() << "\n";
     return kExitVerifyFailed;
@@ -506,7 +455,6 @@ int cmd_sweep(const CliArgs& args) {
 
   SweepOptions opt;
   opt.workers = static_cast<int>(args.get_int("jobs", 0));
-  opt.sim_threads = sim_threads_from_args(args);
   opt.job_timeout_ms = static_cast<uint64_t>(args.get_int("job-timeout", 0));
   opt.job_retries = static_cast<int>(args.get_int("retries", 0));
   opt.retry_backoff_ms =
@@ -611,7 +559,6 @@ int cmd_sweep(const CliArgs& args) {
       repro.task_ws = c.task_ws;
       repro.fine_grained = c.fine_grained;
       repro.seed = c.seed;
-      repro.sim_threads = opt.sim_threads;
       repro.overrides = spec.overrides;
       repro.check = opt.check.any() ? opt.check.str()
                                     : check::default_check_spec().str();
@@ -693,7 +640,6 @@ int cmd_sweep_merge(const CliArgs& args) {
   // workflow — rerun the exact shard command line with `merge` in front —
   // works verbatim (merge only loads records, it runs nothing).
   args.get_int("jobs", 0);
-  sim_threads_from_args(args);
   args.get_bool("progress", false);
   args.get_int("job-timeout", 0);
   args.get_int("retries", 0);

@@ -192,7 +192,7 @@ std::vector<Grammar> make_grammars() {
         "sched.dispatch.stall:every=7,ms=1,seed=9",
         "sched.steal.contend:every=1",
         "store.rename.fail:every=2;store.read.torrent:every=3,seed=5,max=4",
-        "alloc.workload_build:every=2;engine.spec.conflict_storm:every=4"},
+        "alloc.workload_build:every=2;sched.steal.contend:every=4"},
        &parse_fault});
   gs.push_back({"check",
                 {"coherence", "all", "coherence,sched,trace",
@@ -204,14 +204,13 @@ std::vector<Grammar> make_grammars() {
   seed_repro.workload = "dnc:depth=4,fanout=2";
   seed_repro.sched = "ws";
   seed_repro.check = "all,period=64";
-  seed_repro.verify = "serial";
+  seed_repro.verify = "shadow";
   seed_repro.op_index = 1234;
   seed_repro.violation = "coherence: example";
   check::CrashRepro seed2;
   seed2.workload = "dagfile:results/crash.dag";
   seed2.sched = "ws:steal=half,victims=rand,seed=9";
   seed2.cores = 16;
-  seed2.sim_threads = 4;
   seed2.violation = "sched: task 7 dispatched twice";
   gs.push_back(
       {"repro", {seed_repro.serialize(), seed2.serialize()}, &parse_repro});
