@@ -425,8 +425,7 @@ void Checker::spot_check_trace(TaskId t) {
   // one spot-check into a whole-trace replay.
   constexpr uint64_t kMaxOps = uint64_t{1} << 16;
   TraceCursor cursor = dag_->cursor(t);
-  const engine_detail::TraceExpander ex{dag_->interleave_data(),
-                                        dag_->interleave_fast(), line_shift_};
+  const engine_detail::TraceExpander ex{dag_->interleave_data(), line_shift_};
   const std::span<const PackedRef> blocks = dag_->blocks(t);
   uint32_t bi = 0;
   uint32_t ri = 0;

@@ -28,19 +28,10 @@ uint64_t TaskDag::node_depth() const {
   return depth;
 }
 
-void TaskDag::build_interleave_fast() {
-  inter_fast_.clear();
-  inter_fast_.reserve(inter_.size());
-  for (const InterleaveSide& sd : inter_) {
-    inter_fast_.push_back(make_interleave_fast(sd));
-  }
-}
-
 TaskDag::MemoryStats TaskDag::memory_stats() const {
   MemoryStats m;
   m.trace_arena_bytes = blocks_.capacity() * sizeof(PackedRef) +
-                        inter_.capacity() * sizeof(InterleaveSide) +
-                        inter_fast_.capacity() * sizeof(InterleaveFast);
+                        inter_.capacity() * sizeof(InterleaveSide);
   m.task_bytes = tasks_.capacity() * sizeof(Task);
   m.edge_bytes = child_edges_.capacity() * sizeof(TaskId) +
                  roots_.capacity() * sizeof(TaskId);
@@ -183,7 +174,6 @@ TaskDag DagBuilder::finish() {
   for (TaskId t = 0; t < dag_.tasks_.size(); ++t) {
     if (dag_.tasks_[t].num_parents == 0) dag_.roots_.push_back(t);
   }
-  dag_.build_interleave_fast();
   return std::move(dag_);
 }
 

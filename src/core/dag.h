@@ -69,11 +69,6 @@ class TaskDag {
   /// Side table holding kInterleave stream data (PackedRef::side_index).
   const InterleaveSide* interleave_data() const { return inter_.data(); }
 
-  /// Derived expansion constants, one per interleave_data() entry (same
-  /// side_index), built once at DAG construction so the simulator's
-  /// refill re-derives nothing per block (see InterleaveFast).
-  const InterleaveFast* interleave_fast() const { return inter_fast_.data(); }
-
   /// Reconstructs the builder-facing descriptor of one of this DAG's
   /// packed blocks (used when re-building a derived DAG, e.g. coarsening).
   RefBlock unpack(const PackedRef& p) const {
@@ -110,7 +105,7 @@ class TaskDag {
   /// Resident byte sizes of the DAG's components — the "memory at paper
   /// scale" accounting reported by `cachesched_cli perf --memory`.
   struct MemoryStats {
-    uint64_t trace_arena_bytes = 0;  // PackedRef arena + interleave tables
+    uint64_t trace_arena_bytes = 0;  // PackedRef arena + interleave side table
     uint64_t task_bytes = 0;         // Task records
     uint64_t edge_bytes = 0;         // child-edge CSR + roots
     uint64_t group_bytes = 0;        // TaskGroup records + children vectors
@@ -123,13 +118,9 @@ class TaskDag {
  private:
   friend class DagBuilder;
   friend TaskDag load_dag(const std::string& path);  // core/dag_io.h
-  /// (Re)builds inter_fast_ from inter_; called wherever a TaskDag is
-  /// assembled (DagBuilder::finish, load_dag).
-  void build_interleave_fast();
   std::vector<Task> tasks_;
   std::vector<PackedRef> blocks_;        // flat arena, 32 B per block
   std::vector<InterleaveSide> inter_;    // kInterleave stream side table
-  std::vector<InterleaveFast> inter_fast_;  // derived, parallel to inter_
   std::vector<TaskId> child_edges_;
   std::vector<TaskGroup> groups_;
   std::vector<TaskId> roots_;

@@ -226,7 +226,6 @@ TaskDag load_dag(const std::string& path) {
   for (const RefBlock& b : raw_blocks) {
     dag.blocks_.push_back(pack_ref(b, &dag.inter_));
   }
-  dag.build_interleave_fast();
   for (TaskId t = 0; t < dag.tasks_.size(); ++t) {
     if (dag.tasks_[t].num_parents == 0) dag.roots_.push_back(t);
   }

@@ -139,242 +139,6 @@ struct InterleaveSide {
   StreamRef streams[kMaxStreams];
 };
 
-/// Derived per-interleave-block constants, computed once per TaskDag
-/// (TaskDag::interleave_fast) so the simulator's refill does no per-step
-/// re-derivation. Streams are compacted to the non-empty ones — an empty
-/// stream is never picked by the proportional schedule nor by its
-/// fallback, so dropping it preserves the emission sequence exactly —
-/// and classified by the shape of the Bresenham pick:
-///
-///   kSingle — one stream: consecutive lines, no schedule arithmetic.
-///   kAlt2   — two equal-length streams: the schedule degenerates to a
-///             strict 0,1,0,1 alternation (the copy-pass shape emitted by
-///             read_write_pass), so the pick is the step parity.
-///   kPair   — two streams, general: signed error terms with whole-run
-///             expansion when one stream is behind its target.
-///   kTriple — three streams: priority-chained error terms.
-///   kGeneric — count too large for the int64 error terms (>= 2^31
-///             references in one block); expanded by the uint64 reference
-///             loop instead.
-struct InterleaveFast {
-  enum Kind : uint8_t { kEmpty, kSingle, kAlt2, kPair, kTriple, kGeneric };
-  Kind kind = kEmpty;
-  uint8_t ns = 0;  // compacted (non-empty) stream count
-  uint32_t line_bytes = 128;
-  uint32_t lines[kMaxStreams] = {};  // L_s
-  uint32_t gain[kMaxStreams] = {};   // n - L_s: error decrement per pick
-  bool write[kMaxStreams] = {};
-  uint64_t base[kMaxStreams] = {};
-};
-
-inline InterleaveFast make_interleave_fast(const InterleaveSide& sd) {
-  InterleaveFast f;
-  f.line_bytes = sd.line_bytes;
-  uint64_t n = 0;
-  for (uint32_t s = 0; s < sd.num_streams; ++s) n += sd.streams[s].lines;
-  for (uint32_t s = 0; s < sd.num_streams; ++s) {
-    const StreamRef& r = sd.streams[s];
-    if (r.lines == 0) continue;
-    f.base[f.ns] = r.base;
-    f.lines[f.ns] = r.lines;
-    f.gain[f.ns] = static_cast<uint32_t>(n - r.lines);
-    f.write[f.ns] = r.is_write;
-    ++f.ns;
-  }
-  if (n >= (uint64_t{1} << 31)) {
-    f.kind = InterleaveFast::kGeneric;
-  } else if (f.ns == 0) {
-    f.kind = InterleaveFast::kEmpty;
-  } else if (f.ns == 1) {
-    f.kind = InterleaveFast::kSingle;
-  } else if (f.ns == 2) {
-    f.kind = f.lines[0] == f.lines[1] ? InterleaveFast::kAlt2
-                                      : InterleaveFast::kPair;
-  } else {
-    f.kind = InterleaveFast::kTriple;
-  }
-  return f;
-}
-
-/// Expands references [i, end) of an interleave block of `n` total
-/// references through the derived constants `f`, calling emit(addr, s)
-/// per reference (s indexes f's *compacted* streams). `em` is the
-/// per-compacted-stream emitted-line state, updated in place; resuming
-/// from any (i, em) state reached by a previous call continues the exact
-/// sequence. Must not be called with kind kEmpty (nothing to emit) or
-/// kGeneric (callers keep the uint64 per-reference loop for that case).
-///
-/// The emitted schedule is byte-identical to TraceCursor::next()'s
-/// proportional first-behind rule — stream s is due when
-/// (i+1)*L_s >= (em_s+1)*n, the first due stream is picked, and a floor
-/// rounding gap falls back to the first unfinished stream —
-/// tests/trace_test.cc proves equality on randomized configurations and
-/// resume boundaries. All error terms are exact: |D_s| < n^2 < 2^62.
-template <class EmitFn>
-inline void interleave_expand(const InterleaveFast& f, uint32_t n, uint32_t i,
-                              uint32_t end, uint32_t em[kMaxStreams],
-                              EmitFn&& emit) {
-  const uint32_t lb = f.line_bytes;
-  switch (f.kind) {
-    case InterleaveFast::kSingle: {
-      uint64_t a = f.base[0] + uint64_t{em[0]} * lb;
-      em[0] += end - i;
-      for (; i < end; ++i, a += lb) emit(a, 0);
-      return;
-    }
-    case InterleaveFast::kAlt2: {
-      uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
-      uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
-      if ((i & 1) != 0 && i < end) {
-        emit(a1, 1);
-        a1 += lb;
-        ++em[1];
-        ++i;
-      }
-      for (; i + 1 < end; i += 2) {
-        emit(a0, 0);
-        a0 += lb;
-        ++em[0];
-        emit(a1, 1);
-        a1 += lb;
-        ++em[1];
-      }
-      if (i < end) {
-        emit(a0, 0);
-        ++em[0];
-      }
-      return;
-    }
-    case InterleaveFast::kPair: {
-      const int64_t g0 = f.gain[0];  // == lines[1]
-      const int64_t g1 = f.gain[1];  // == lines[0]
-      int64_t d0 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[0]) -
-                   static_cast<int64_t>((uint64_t{em[0]} + 1) * n);
-      int64_t d1 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[1]) -
-                   static_cast<int64_t>((uint64_t{em[1]} + 1) * n);
-      uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
-      uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
-      while (i < end) {
-        if (d0 >= 0) {
-          // Stream 0 stays due for floor(d0/g0)+1 consecutive steps: a
-          // whole run of consecutive lines in one inner loop, with the
-          // division paid only when the run has at least two lines.
-          uint32_t r = 1;
-          if (d0 >= g0) {
-            const uint64_t q = static_cast<uint64_t>(d0) /
-                                   static_cast<uint64_t>(g0) +
-                               1;
-            const uint32_t avail = end - i;
-            r = q < avail ? static_cast<uint32_t>(q) : avail;
-          }
-          i += r;
-          em[0] += r;
-          d0 -= g0 * static_cast<int64_t>(r);
-          d1 += g0 * static_cast<int64_t>(r);
-          do {
-            emit(a0, 0);
-            a0 += lb;
-          } while (--r != 0);
-        } else if (d1 >= 0) {
-          uint32_t r = 1;
-          if (d1 >= g1) {
-            const uint64_t q = static_cast<uint64_t>(d1) /
-                                   static_cast<uint64_t>(g1) +
-                               1;
-            const uint32_t avail = end - i;
-            r = q < avail ? static_cast<uint32_t>(q) : avail;
-          }
-          i += r;
-          em[1] += r;
-          d1 -= g1 * static_cast<int64_t>(r);
-          d0 += g1 * static_cast<int64_t>(r);
-          do {
-            emit(a1, 1);
-            a1 += lb;
-          } while (--r != 0);
-        } else {
-          // Floor rounding gap: the first unfinished stream. (From states
-          // reachable by this schedule it is always stream 0 — stream 0
-          // being finished forces d1 >= 0 — but keep the general pick.)
-          if (em[0] < f.lines[0]) {
-            emit(a0, 0);
-            a0 += lb;
-            ++em[0];
-            d0 -= g0;
-            d1 += g0;
-          } else {
-            emit(a1, 1);
-            a1 += lb;
-            ++em[1];
-            d1 -= g1;
-            d0 += g1;
-          }
-          ++i;
-        }
-      }
-      return;
-    }
-    case InterleaveFast::kTriple: {
-      const int64_t l0 = f.lines[0];
-      const int64_t l1 = f.lines[1];
-      const int64_t l2 = f.lines[2];
-      const int64_t dn = n;
-      int64_t d0 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[0]) -
-                   static_cast<int64_t>((uint64_t{em[0]} + 1) * n);
-      int64_t d1 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[1]) -
-                   static_cast<int64_t>((uint64_t{em[1]} + 1) * n);
-      int64_t d2 = static_cast<int64_t>((uint64_t{i} + 1) * f.lines[2]) -
-                   static_cast<int64_t>((uint64_t{em[2]} + 1) * n);
-      uint64_t a0 = f.base[0] + uint64_t{em[0]} * lb;
-      uint64_t a1 = f.base[1] + uint64_t{em[1]} * lb;
-      uint64_t a2 = f.base[2] + uint64_t{em[2]} * lb;
-      for (; i < end; ++i) {
-        // Picking stream s advances every prog by L and s's goal by n:
-        // d_t += L_t for all t, d_s -= n.
-        if (d0 >= 0) {
-          emit(a0, 0);
-          a0 += lb;
-          ++em[0];
-          d0 -= dn;
-        } else if (d1 >= 0) {
-          emit(a1, 1);
-          a1 += lb;
-          ++em[1];
-          d1 -= dn;
-        } else if (d2 >= 0) {
-          emit(a2, 2);
-          a2 += lb;
-          ++em[2];
-          d2 -= dn;
-        } else if (em[0] < f.lines[0]) {
-          emit(a0, 0);
-          a0 += lb;
-          ++em[0];
-          d0 -= dn;
-        } else if (em[1] < f.lines[1]) {
-          emit(a1, 1);
-          a1 += lb;
-          ++em[1];
-          d1 -= dn;
-        } else {
-          emit(a2, 2);
-          a2 += lb;
-          ++em[2];
-          d2 -= dn;
-        }
-        d0 += l0;
-        d1 += l1;
-        d2 += l2;
-      }
-      return;
-    }
-    case InterleaveFast::kEmpty:
-    case InterleaveFast::kGeneric:
-      assert(false && "interleave_expand: kEmpty/kGeneric not expandable");
-      return;
-  }
-}
-
 /// Storage/replay form of a reference block: 32 bytes, tagged. The three
 /// common kinds are self-contained; kInterleave keeps its stream list in
 /// an InterleaveSide at `side_index()`. Field use per kind:

@@ -39,12 +39,11 @@ inline uint64_t evt_key(uint64_t time, int c) {
 }
 
 /// Batched trace expansion over one task's PackedRef blocks. The cursor
-/// (bi, ri, em) is resumable at any point; per-block constants (stream
-/// interleave error terms, the kRandom reciprocal) are set up once per
-/// call and amortized over the batch.
+/// (bi, ri, em) is resumable at any point; per-block constants (the
+/// interleave streams' schedule products, the kRandom reciprocal) are set
+/// up once per call and amortized over the batch.
 struct TraceExpander {
   const InterleaveSide* inter;  // dag.interleave_data()
-  const InterleaveFast* ifast;  // dag.interleave_fast()
   int line_shift;
 
   /// Expands up to `cap` ops from (blocks, nb) at cursor (bi, ri, em)
@@ -123,66 +122,55 @@ struct TraceExpander {
           break;
         }
         case RefKind::kInterleave: {
+          // TraceCursor::next()'s proportional schedule as exact uint64
+          // products of uint32 factors: stream s is due when
+          // prog_s = (i+1)*lines_s >= goal_s = (em_s+1)*n. Pick the first
+          // due stream, else (floor rounding gap) the first unfinished
+          // one. The loop always spans all kMaxStreams slots; unused and
+          // empty slots have lines == 0, so they are never due and never
+          // unfinished, and are never picked.
+          const InterleaveSide& sd = inter[b.side_index()];
           const uint32_t n = b.count;
           const uint32_t ipr = b.instr_per_ref();
-          const InterleaveFast& f = ifast[b.side_index()];
+          const uint32_t lb = sd.line_bytes;
           uint32_t i = ri;
           const uint32_t end =
               std::min(n, i + static_cast<uint32_t>(cap - len));
-          if (f.kind != InterleaveFast::kGeneric) {
-            const uint32_t mw[kMaxStreams] = {
-                ipr | (f.write[0] ? kBufWrite : 0u),
-                ipr | (f.write[1] ? kBufWrite : 0u),
-                ipr | (f.write[2] ? kBufWrite : 0u)};
-            if (i < end) {
-              interleave_expand(f, n, i, end, em,
-                                [&](uint64_t addr, int s) {
-                                  buf[len++] = BufOp{addr >> line_shift, mw[s]};
-                                });
-              i = end;
+          uint32_t lines[kMaxStreams];
+          uint32_t mw[kMaxStreams];
+          uint64_t prog[kMaxStreams];
+          uint64_t goal[kMaxStreams];
+          uint64_t addr[kMaxStreams];
+          for (int s = 0; s < kMaxStreams; ++s) {
+            const StreamRef& r = sd.streams[s];
+            lines[s] = r.lines;
+            mw[s] = ipr | (r.is_write ? kBufWrite : 0u);
+            prog[s] = (uint64_t{i} + 1) * r.lines;
+            goal[s] = (uint64_t{em[s]} + 1) * n;
+            addr[s] = r.base + uint64_t{em[s]} * lb;
+          }
+          for (; i < end; ++i) {
+            int s;
+            if (prog[0] >= goal[0]) {
+              s = 0;
+            } else if (prog[1] >= goal[1]) {
+              s = 1;
+            } else if (prog[2] >= goal[2]) {
+              s = 2;
+            } else if (em[0] < lines[0]) {
+              s = 0;
+            } else if (em[1] < lines[1]) {
+              s = 1;
+            } else {
+              s = 2;
             }
-          } else {
-            // Reference expansion for blocks whose error terms would not
-            // fit int64 (>= 2^31 refs): the uint64 Bresenham products
-            // prog_s = (i+1)*lines_s vs goal_s = (em_s+1)*n; "behind
-            // target" is prog_s >= goal_s, prog gains lines_s per step
-            // and goal gains n per emission (exact: uint32 factors).
-            const InterleaveSide& sd = inter[b.side_index()];
-            const int ns = static_cast<int>(sd.num_streams);
-            const uint32_t lb = sd.line_bytes;
-            uint64_t prog[kMaxStreams];
-            uint64_t goal[kMaxStreams];
-            uint64_t addr_next[kMaxStreams];
-            for (int s = 0; s < ns; ++s) {
-              prog[s] = (static_cast<uint64_t>(i) + 1) * sd.streams[s].lines;
-              goal[s] = (static_cast<uint64_t>(em[s]) + 1) * n;
-              addr_next[s] =
-                  sd.streams[s].base + static_cast<uint64_t>(em[s]) * lb;
-            }
-            for (; i < end; ++i) {
-              int pick = -1;
-              for (int s = 0; s < ns; ++s) {
-                if (prog[s] >= goal[s]) {
-                  pick = s;
-                  break;
-                }
-              }
-              if (pick < 0) {  // floor rounding gap: any unfinished stream
-                for (int s = 0; s < ns; ++s) {
-                  if (em[s] < sd.streams[s].lines) {
-                    pick = s;
-                    break;
-                  }
-                }
-              }
-              buf[len++] =
-                  BufOp{addr_next[pick] >> line_shift,
-                        ipr | (sd.streams[pick].is_write ? kBufWrite : 0u)};
-              ++em[pick];
-              goal[pick] += n;
-              addr_next[pick] += lb;
-              for (int s = 0; s < ns; ++s) prog[s] += sd.streams[s].lines;
-            }
+            buf[len++] = BufOp{addr[s] >> line_shift, mw[s]};
+            ++em[s];
+            goal[s] += n;
+            addr[s] += lb;
+            prog[0] += lines[0];
+            prog[1] += lines[1];
+            prog[2] += lines[2];
           }
           if (i == n) {
             ++bi;

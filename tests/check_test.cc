@@ -305,8 +305,7 @@ TEST(Mutation, TraceFlipCaughtByExpansionSpotCheck) {
   const TaskDag dag = b.finish();
   const int line_shift = 7;  // 128-byte lines
   const std::span<const PackedRef> blocks = dag.blocks(0);
-  const engine_detail::TraceExpander ex{dag.interleave_data(),
-                                        dag.interleave_fast(), line_shift};
+  const engine_detail::TraceExpander ex{dag.interleave_data(), line_shift};
   uint32_t bi = 0;
   uint32_t ri = 0;
   uint32_t em[3] = {0, 0, 0};

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "check/invariants.h"
 #include "core/trace.h"
+#include "simarch/engine_detail.h"
 
 namespace cachesched {
 namespace {
@@ -191,93 +194,89 @@ TEST(Trace, PackRejectsOversizedInstrPerRef) {
   EXPECT_THROW(pack_ref(b, &side), std::invalid_argument);
 }
 
-// The engine's specialized interleave refill (interleave_expand over the
-// per-DAG InterleaveFast constants) must emit byte-for-byte the schedule
-// of the reference implementation, TraceCursor::next(), for every stream
-// configuration and from any resume boundary. Property test: random
-// 1-3-stream blocks (including empty streams, equal lines, extreme
-// imbalance), expanded in randomly sized chunks, against a cursor.
+// The engine's batched expander, engine_detail::TraceExpander::expand,
+// must emit op-for-op the sequence of the reference TraceCursor::next()
+// from any resume point. Property test: random task block lists mixing
+// 1-3-stream interleaves (empty streams, equal lengths, extreme
+// imbalance) with stride, random and compute blocks, expanded in batches
+// of a random cap in [1, kBufOps] and compared batch by batch (line,
+// write bit, instruction charge) by the trace checker.
 TEST(Trace, InterleaveExpandMatchesCursorRandomized) {
+  using engine_detail::kBufOps;
   Xoshiro256 rng(2024);
-  for (int iter = 0; iter < 400; ++iter) {
+  auto random_interleave = [&rng] {
     const int ns = 1 + static_cast<int>(rng.next_below(3));
     StreamRef s[kMaxStreams];
-    uint32_t total = 0;
     for (int i = 0; i < ns; ++i) {
       uint32_t lines;
       switch (rng.next_below(4)) {
-        case 0: lines = 0; break;                  // empty stream
-        case 1: lines = 1 + rng.next_below(4); break;
-        case 2: lines = 1 + rng.next_below(64); break;
-        default: lines = 1 + rng.next_below(2000); break;
+        case 0: lines = 0; break;  // empty stream
+        case 1: lines = 1 + static_cast<uint32_t>(rng.next_below(4)); break;
+        case 2: lines = 1 + static_cast<uint32_t>(rng.next_below(64)); break;
+        default: lines = 1 + static_cast<uint32_t>(rng.next_below(2000));
       }
-      if (ns == 2 && i == 1 && rng.next_below(3) == 0) {
-        lines = s[0].lines;  // exercise the equal-length kAlt2 path
-      }
+      if (i > 0 && rng.next_below(3) == 0) lines = s[0].lines;  // equal
       s[i] = {rng.next() & 0xFFFFFF00, lines, rng.next_below(2) == 0};
-      total += lines;
     }
-    if (total == 0) continue;
     const uint32_t lb = rng.next_below(2) == 0 ? 64 : 128;
-    const RefBlock blk = RefBlock::interleave(s, ns, lb, 2);
-    std::vector<InterleaveSide> side;
-    const PackedRef packed = pack_ref(blk, &side);
-    const InterleaveFast fast = make_interleave_fast(side[0]);
-    ASSERT_NE(fast.kind, InterleaveFast::kGeneric);
-    ASSERT_NE(fast.kind, InterleaveFast::kEmpty);
-
-    TraceCursor cur(&packed, 1, side.data());
-    uint32_t em[kMaxStreams] = {0, 0, 0};
-    uint32_t i = 0;
-    while (i < total) {
-      const uint32_t chunk = std::min<uint32_t>(
-          total - i, 1 + static_cast<uint32_t>(rng.next_below(97)));
-      interleave_expand(fast, total, i, i + chunk, em,
-                        [&](uint64_t addr, int cs) {
-                          const TraceOp op = cur.next();
-                          ASSERT_EQ(op.kind, TraceOp::kMem);
-                          ASSERT_EQ(op.addr, addr);
-                          ASSERT_EQ(op.is_write, fast.write[cs]);
-                        });
-      i += chunk;
-    }
-    EXPECT_EQ(cur.next().kind, TraceOp::kDone);
-  }
-}
-
-// Derived-table classification and the stream compaction that backs it.
-TEST(Trace, InterleaveFastClassification) {
-  auto make_side = [](std::initializer_list<uint32_t> lines) {
-    InterleaveSide sd;
-    sd.line_bytes = 128;
-    for (uint32_t l : lines) {
-      sd.streams[sd.num_streams++] = {0x1000u * (sd.num_streams + 1), l,
-                                      false};
-    }
-    return sd;
+    return RefBlock::interleave(s, ns, lb,
+                                1 + static_cast<uint32_t>(rng.next_below(8)));
   };
-  EXPECT_EQ(make_interleave_fast(make_side({})).kind, InterleaveFast::kEmpty);
-  EXPECT_EQ(make_interleave_fast(make_side({0, 0})).kind,
-            InterleaveFast::kEmpty);
-  EXPECT_EQ(make_interleave_fast(make_side({7})).kind,
-            InterleaveFast::kSingle);
-  // An empty stream never emits, so it is compacted away.
-  EXPECT_EQ(make_interleave_fast(make_side({0, 9})).kind,
-            InterleaveFast::kSingle);
-  EXPECT_EQ(make_interleave_fast(make_side({5, 5})).kind,
-            InterleaveFast::kAlt2);
-  EXPECT_EQ(make_interleave_fast(make_side({5, 6})).kind,
-            InterleaveFast::kPair);
-  EXPECT_EQ(make_interleave_fast(make_side({5, 0, 6})).kind,
-            InterleaveFast::kPair);
-  EXPECT_EQ(make_interleave_fast(make_side({5, 6, 11})).kind,
-            InterleaveFast::kTriple);
-  // Too many references for the int64 error terms: expanded generically.
-  InterleaveSide huge = make_side({0});
-  huge.num_streams = 2;
-  huge.streams[0] = {0, 1u << 31, false};
-  huge.streams[1] = {1 << 20, 3, true};
-  EXPECT_EQ(make_interleave_fast(huge).kind, InterleaveFast::kGeneric);
+  auto random_block = [&]() -> RefBlock {
+    const uint32_t count = static_cast<uint32_t>(rng.next_below(300));
+    const uint32_t ipr = 1 + static_cast<uint32_t>(rng.next_below(8));
+    switch (rng.next_below(5)) {
+      case 0:
+        return RefBlock::compute(rng.next_below(3) == 0 ? 0
+                                                        : rng.next_below(1000));
+      case 1: {
+        const int64_t stride =
+            static_cast<int64_t>(rng.next_below(512)) - 256;
+        return RefBlock::stride_ref(uint64_t{1} << 40, count, stride,
+                                    rng.next_below(2) == 0, ipr);
+      }
+      case 2:
+        return RefBlock::random_ref(rng.next() & 0xFFFFFFFF,
+                                    1 + rng.next_below(uint64_t{1} << 20),
+                                    count, rng.next(), rng.next_below(2) == 0,
+                                    ipr);
+      default:
+        return random_interleave();
+    }
+  };
+
+  for (int iter = 0; iter < 400; ++iter) {
+    std::vector<PackedRef> packed;
+    std::vector<InterleaveSide> side;
+    const int nb = 1 + static_cast<int>(rng.next_below(8));
+    for (int k = 0; k < nb; ++k) {
+      packed.push_back(pack_ref(random_block(), &side));
+    }
+    // Shift 0 compares whole byte addresses; 7 is the engine's 128-B line.
+    const int line_shift = rng.next_below(2) == 0 ? 0 : 7;
+    const engine_detail::TraceExpander ex{side.data(), line_shift};
+    TraceCursor cur(packed.data(), static_cast<uint32_t>(nb), side.data());
+    uint32_t bi = 0;
+    uint32_t ri = 0;
+    uint32_t em[kMaxStreams] = {0, 0, 0};
+    engine_detail::BufOp buf[kBufOps];
+    uint64_t idx = 0;
+    for (;;) {
+      const int cap = 1 + static_cast<int>(rng.next_below(kBufOps));
+      const int n = ex.expand(packed.data(), static_cast<uint32_t>(nb), bi,
+                              ri, em, buf, cap);
+      ASSERT_LE(n, cap);
+      if (n == 0) break;
+      try {
+        check::Checker::compare_expansion(buf, n, cur, line_shift, idx);
+      } catch (const std::exception& e) {
+        FAIL() << "iteration " << iter << ": " << e.what();
+      }
+      idx += static_cast<uint64_t>(n);
+    }
+    EXPECT_EQ(bi, static_cast<uint32_t>(nb));
+    EXPECT_EQ(cur.next().kind, TraceOp::kDone) << "iteration " << iter;
+  }
 }
 
 }  // namespace

@@ -321,7 +321,10 @@ int cmd_trace(const CliArgs& args) {
   const CmpConfig cfg = config_from_args(args);
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
-  const Workload w = make_workload(args.get("app", "mergesort"), cfg, opt);
+  const std::string app = args.get("app", "mergesort");
+  // Every flag has been queried; fail on typos before the build and save.
+  if (const int rc = args.check_unused()) return rc;
+  const Workload w = make_workload(app, cfg, opt);
   save_dag(w.dag, out);
   std::cout << "wrote " << w.dag.num_tasks() << " tasks / "
             << w.dag.total_refs() << " refs to " << out << "\n";
