@@ -28,7 +28,10 @@
 //                'sched'     scheduler conservation: every task
 //                             dispatched once, completed once, never
 //                             before its dependencies; ready-set
-//                             accounting matches DAG in-degrees
+//                             accounting matches DAG in-degrees; every
+//                             event pick (smallest and second-smallest
+//                             core key) matches a linear scan over all
+//                             cores' keys
 //                'trace'     PackedRef expansion spot-checks: sampled
 //                             tasks are re-expanded through TraceCursor
 //                             and compared op-by-op against the batched

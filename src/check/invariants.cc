@@ -10,6 +10,13 @@ namespace {
 
 std::string hx(uint64_t v) { return std::to_string(v); }
 
+// A packed event key as "core C @ cycle T" ("none" for UINT64_MAX).
+std::string key_str(uint64_t key) {
+  if (key == UINT64_MAX) return "none";
+  return "core " + std::to_string(key & 31) + " @ cycle " +
+         std::to_string(key >> 5);
+}
+
 }  // namespace
 
 CheckViolation::CheckViolation(std::string checker, std::string detail,
@@ -262,6 +269,27 @@ void Checker::on_complete(int core, TaskId t) {
                            std::to_string(t) + " completed");
     }
     --indeg_[ch];
+  }
+}
+
+void Checker::on_pick(std::span<const uint64_t> keys, uint64_t k1,
+                      uint64_t k2) {
+  if (!spec_.sched) return;
+  ++stats_.picks;
+  uint64_t first = UINT64_MAX;
+  uint64_t second = UINT64_MAX;
+  for (const uint64_t key : keys) {
+    if (key < first) {
+      second = first;
+      first = key;
+    } else if (key < second) {
+      second = key;
+    }
+  }
+  if (k1 != first || k2 != second) {
+    violate("sched", "event pick (" + key_str(k1) + ", next " + key_str(k2) +
+                         ") but the core keys' two smallest are (" +
+                         key_str(first) + ", next " + key_str(second) + ")");
   }
 }
 

@@ -17,7 +17,9 @@
 //    entry; a leftover at the next hook is a dropped invalidation.
 //  * scheduler conservation: every task dispatched once, completed once,
 //    never before its dependencies, with ready-set accounting re-derived
-//    from the DAG's in-degrees.
+//    from the DAG's in-degrees; and event order: at every pick, the
+//    engine's tournament-tree keys must equal the two smallest of a plain
+//    scan over every core's key.
 //  * PackedRef expansion spot-checks: sampled dispatched tasks are
 //    re-expanded through TraceCursor (the reference expansion) and
 //    compared op-by-op against the batched engine expander.
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -168,6 +171,7 @@ struct CheckStats {
   uint64_t refs = 0;         // memory references observed
   uint64_t audits = 0;       // full-state audits performed
   uint64_t spot_checks = 0;  // trace re-expansion spot-checks
+  uint64_t picks = 0;        // event picks re-derived by a linear scan
 };
 
 /// The disarmed checker: the engine instantiates its run loop with
@@ -207,6 +211,11 @@ class Checker {
   // --- scheduler hooks ---
   void on_dispatch(int core, TaskId t);
   void on_complete(int core, TaskId t);
+  /// Event pick (sched): `keys` holds every core's packed event key
+  /// (engine_detail::evt_key, UINT64_MAX when idle) re-derived from the
+  /// core states; `k1`/`k2` are the smallest and second-smallest keys the
+  /// engine picked with. Throws unless a linear scan over `keys` agrees.
+  void on_pick(std::span<const uint64_t> keys, uint64_t k1, uint64_t k2);
 
   /// Full-state audit, also run automatically every `period` references.
   /// Public so mutation tests can force an audit at a chosen point.

@@ -5,7 +5,23 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/cli.h"
+
 namespace cachesched {
+namespace {
+
+[[noreturn]] void throw_unknown(const std::string& name,
+                                const std::vector<std::string>& known) {
+  std::ostringstream os;
+  os << "unknown workload: " << name << " (known:";
+  for (const auto& n : known) os << " " << n;
+  os << ")";
+  const std::string near = nearest_flag(name, known);
+  if (!near.empty()) os << " — did you mean " << near << "?";
+  throw std::invalid_argument(os.str());
+}
+
+}  // namespace
 
 struct WorkloadRegistry::Impl {
   mutable std::mutex mu;
@@ -57,13 +73,7 @@ Workload WorkloadRegistry::make(const std::string& spec, const CmpConfig& cfg,
     auto it = i.builders.find(name);
     if (it != i.builders.end()) builder = it->second.second;
   }
-  if (!builder) {
-    std::ostringstream os;
-    os << "unknown workload: " << name << " (known:";
-    for (const auto& n : names()) os << " " << n;
-    os << ")";
-    throw std::invalid_argument(os.str());
-  }
+  if (!builder) throw_unknown(name, names());
   return builder(params, cfg, opt);
 }
 
@@ -72,6 +82,10 @@ bool WorkloadRegistry::contains(const std::string& spec) const {
   Impl& i = impl();
   std::lock_guard<std::mutex> lock(i.mu);
   return i.builders.count(name) > 0;
+}
+
+void WorkloadRegistry::require(const std::string& spec) const {
+  if (!contains(spec)) throw_unknown(spec.substr(0, spec.find(':')), names());
 }
 
 std::vector<std::string> WorkloadRegistry::names() const {

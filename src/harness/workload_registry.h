@@ -52,13 +52,18 @@ class WorkloadRegistry {
            WorkloadBuilder builder);
 
   /// Builds the workload for `spec` ("name" or "name:params"); throws
-  /// std::invalid_argument listing the known names if the name part is
-  /// not registered.
+  /// std::invalid_argument as require() does if the name part is not
+  /// registered.
   Workload make(const std::string& spec, const CmpConfig& cfg,
                 const AppOptions& opt) const;
 
   /// True if the name part of `spec` is registered.
   bool contains(const std::string& spec) const;
+
+  /// Throws std::invalid_argument listing the known names, with a
+  /// nearest-name hint for a plausible typo, unless the name part of
+  /// `spec` is registered. Checks the name only, not the params.
+  void require(const std::string& spec) const;
 
   /// Registered names, sorted.
   std::vector<std::string> names() const;

@@ -27,6 +27,7 @@ namespace {
 // engine_detail.h, shared with the trace spot-checks of the invariant
 // checker (check/invariants.cc).
 using engine_detail::BufOp;
+using engine_detail::EventTree;
 using engine_detail::evt_key;
 using engine_detail::kBufOps;
 using engine_detail::kBufWrite;
@@ -62,17 +63,17 @@ struct CoreState {
   BufOp buf[kBufOps];
 };
 
-// The simulation loop. There is no materialized event queue: every non-idle
-// core has exactly one pending event, at its own `time`, so the next event is
-// the non-idle core with the smallest (time, id) — one P-element scan per event
-// (P <= 32) instead of heap churn on every shared-L2 access. The same scan also
-// yields the earliest event of any *other* core, which bounds the dispatched
-// core's local run-ahead (quantum), so the hot path never rescans. While the
-// dispatched core's next shared-L2 access falls strictly before every other
-// core's event it is performed inline in the same run (run_core) — the event
-// the scan would pick next is this core's anyway — so the per-reference path on
-// the L2-dominated workloads never leaves the run loop or spills its
-// accumulator state.
+// The simulation loop. Every non-idle core has exactly one pending event, at
+// its own `time`, so the next event is the non-idle core with the smallest
+// (time, id). An EventTree over the P cores' packed keys keeps that key and
+// the second-smallest — the earliest event of any *other* core — at its root;
+// a change to one core's event replays one log2 P leaf-to-root path, and a
+// pick reads the root. The second-smallest key bounds the dispatched core's
+// local run-ahead (quantum). While the dispatched core's next shared-L2 access
+// falls strictly before every other core's event it is performed inline in
+// the same run (run_core) — the event the tree would pick next is this core's
+// anyway — so the per-reference path on the L2-dominated workloads never
+// leaves the run loop or spills its accumulator state.
 // The loop is templated on the checker type (src/check/): the default
 // NoCheck instantiation compiles every hook away under `if constexpr`, so
 // the disarmed hot path — the one the perf suite gates — is untouched; an
@@ -102,12 +103,13 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
   MemChannel mem(cfg.mem_latency_cycles, cfg.mem_service_cycles);
 
   std::vector<CoreState> cores(P);
-  // Event keys, densely scanned by the main loop: core i's pending event
-  // time pre-packed as (time << 5) | i, or UINT64_MAX when idle. Packing
-  // at the (rare) write keeps the per-event two-smallest reduction a pure
-  // chain of loads and cmovs; id bits never change the time order because
+  // Event keys: core i's pending event time packed as (time << 5) | i, or
+  // UINT64_MAX when idle; id bits never change the time order because
   // cycle counts stay far below 2^58. Kept in sync with cores[i].
-  std::vector<uint64_t> evt(P, UINT64_MAX);
+  EventTree evt(P);
+  // The armed checker's view of the same keys, re-derived from cores[i].
+  std::vector<uint64_t> ref_keys;
+  if constexpr (CK::kArmed) ref_keys.resize(P);
   std::vector<uint32_t> indeg(dag.num_tasks());
   for (TaskId t = 0; t < dag.num_tasks(); ++t) {
     indeg[t] = dag.task(t).num_parents;
@@ -158,7 +160,7 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
     core.time = std::max(core.time, now) + cfg.task_dispatch_cycles;
     core.busy += cfg.task_dispatch_cycles;
     core.state = CoreState::kRunning;
-    evt[c] = evt_key(core.time, c);
+    evt.set(c, evt_key(core.time, c));
   };
 
   // Expands the next batch of trace ops into core's run buffer, advancing
@@ -340,8 +342,8 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
         time += ipr;
         busy += ipr;
       } else if (evt_key(time, c) < other_key) {
-        // This access is the event the scan would pick next (its packed
-        // (time, id) key precedes every other core's — the scan's exact
+        // This access is the event the tree would pick next (its packed
+        // (time, id) key precedes every other core's — the pick's exact
         // rule, including ties), so perform it without yielding.
         a_line = op.v;
         a_wr = wr;
@@ -357,7 +359,7 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
     }
     core.head = head;
     core.time = time;
-    evt[c] = evt_key(time, c);
+    evt.set(c, evt_key(time, c));
     core.busy += busy;
     if (collect_stats) res.task_refs[core.task] += refs;
     switch (exit_kind) {
@@ -386,7 +388,7 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
     }
     core.task = kNoTask;
     core.state = CoreState::kIdle;
-    evt[c] = UINT64_MAX;
+    evt.set(c, UINT64_MAX);
     if (!ready_buf.empty()) sched.enqueue_ready(c, ready_buf);
     // Greedy dispatch: the completing core first (it owns the hot deque in
     // WS), then every idle core in id order. acquire() failure means no
@@ -412,18 +414,17 @@ SimResult simulate(const CmpConfig& cfg, uint64_t quantum, bool collect_stats,
     // retires at least one event, so this fires rarely relative to the
     // per-reference hot path and costs one predictable branch unguarded.
     if (guard != nullptr && (guard_poll++ & 63) == 0) guard->poll();
-    // One scan finds the next event — the non-idle core with the smallest
-    // (time, id) — and the earliest event of any other core, as a
-    // branch-free two-smallest reduction over the pre-packed keys (the
-    // compared values are data-dependent and mispredict heavily as
-    // branches).
-    uint64_t k1 = UINT64_MAX;  // smallest (time, id) key
-    uint64_t k2 = UINT64_MAX;  // second-smallest key
-    for (int i = 0; i < P; ++i) {
-      const uint64_t key = evt[i];
-      const uint64_t hi = key > k1 ? key : k1;
-      k1 = key < k1 ? key : k1;
-      k2 = hi < k2 ? hi : k2;
+    // The tree's root holds the next event — the non-idle core with the
+    // smallest (time, id) — and the earliest event of any other core.
+    const uint64_t k1 = evt.first();   // smallest (time, id) key
+    const uint64_t k2 = evt.second();  // second-smallest key
+    if constexpr (CK::kArmed) {
+      for (int i = 0; i < P; ++i) {
+        ref_keys[i] = cores[i].state == CoreState::kIdle
+                          ? UINT64_MAX
+                          : evt_key(cores[i].time, i);
+      }
+      chk->on_pick(ref_keys, k1, k2);
     }
     if (k1 == UINT64_MAX) {
       throw std::runtime_error(

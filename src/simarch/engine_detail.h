@@ -1,4 +1,5 @@
-// Engine internals: the run-buffer op format and the batched trace
+// Engine internals: the packed event key and the tournament tree that
+// picks the next event, the run-buffer op format, and the batched trace
 // expansion that turns a task's PackedRef blocks into a flat op stream.
 // The serial engine (engine.cc) runs the expansion per core between
 // events; the invariant checker (check/invariants.cc) re-runs it for its
@@ -11,7 +12,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "core/trace.h"
 
@@ -37,6 +40,48 @@ inline constexpr int kBufOps = 128;
 inline uint64_t evt_key(uint64_t time, int c) {
   return (time << 5) | static_cast<uint32_t>(c);
 }
+
+/// The two smallest event keys over all cores, maintained incrementally:
+/// a tournament tree whose leaves are the cores (padded with idle
+/// UINT64_MAX leaves to a power of two >= 2) and whose every node holds
+/// the smallest and second-smallest key of its subtree as one adjacent
+/// pair. set() replays one leaf-to-root path — log2 of the leaf count
+/// branch-free merges — and first()/second() read the root.
+class EventTree {
+ public:
+  explicit EventTree(int cores)
+      : leaves_(std::bit_ceil(static_cast<unsigned>(std::max(cores, 2)))),
+        node_(2 * leaves_, Pair{UINT64_MAX, UINT64_MAX}) {}
+
+  /// Core c's pending event key (UINT64_MAX = idle).
+  void set(int c, uint64_t key) {
+    unsigned i = leaves_ + static_cast<unsigned>(c);
+    Pair p{key, UINT64_MAX};
+    node_[i] = p;
+    for (; i > 1; i >>= 1) {
+      const Pair& s = node_[i ^ 1];
+      // lo = min(a1, b1); second = min(max(a1, b1), min(a2, b2)).
+      const uint64_t hi1 = p.lo > s.lo ? p.lo : s.lo;
+      const uint64_t lo2 = p.second < s.second ? p.second : s.second;
+      p.lo = p.lo < s.lo ? p.lo : s.lo;
+      p.second = hi1 < lo2 ? hi1 : lo2;
+      node_[i >> 1] = p;
+    }
+  }
+
+  /// Smallest key over all cores.
+  uint64_t first() const { return node_[1].lo; }
+  /// Second-smallest key over all cores (UINT64_MAX if < 2 are pending).
+  uint64_t second() const { return node_[1].second; }
+
+ private:
+  struct alignas(16) Pair {
+    uint64_t lo;
+    uint64_t second;
+  };
+  unsigned leaves_;
+  std::vector<Pair> node_;  // heap order: root 1, leaves [leaves_, 2*leaves_)
+};
 
 /// Batched trace expansion over one task's PackedRef blocks. The cursor
 /// (bi, ri, em) is resumable at any point; per-block constants (the

@@ -140,6 +140,7 @@ TEST(CheckedRun, CleanAndResultsUnchanged) {
   EXPECT_GT(sim.check_stats().refs, 0u);
   EXPECT_GT(sim.check_stats().audits, 0u);
   EXPECT_GT(sim.check_stats().spot_checks, 0u);
+  EXPECT_GT(sim.check_stats().picks, 0u);
 }
 
 TEST(CheckedRun, DisarmedRunReportsZeroStats) {
@@ -281,6 +282,28 @@ TEST(Mutation, DoubleDispatchCaught) {
   const CheckViolation v = capture([&] { chk.on_dispatch(0, 0); });
   EXPECT_EQ(v.checker(), "sched");
   EXPECT_NE(v.detail().find("dispatched twice"), std::string::npos);
+}
+
+TEST(Mutation, WrongEventPickCaught) {
+  // Planted bug: the engine's event selection returns a stale key pair —
+  // core 2's event at cycle 7 is the earliest, but the pick names core 0.
+  const CmpConfig cfg = tiny_config(4);
+  Checker chk(CheckSpec::parse("sched"));
+  chk.on_run_start(cfg, nullptr, nullptr, nullptr);
+  using engine_detail::evt_key;
+  const std::vector<uint64_t> keys = {evt_key(9, 0), UINT64_MAX,
+                                      evt_key(7, 2), evt_key(9, 3)};
+  chk.on_pick(keys, evt_key(7, 2), evt_key(9, 0));  // the true pick
+  const CheckViolation v =
+      capture([&] { chk.on_pick(keys, evt_key(9, 0), evt_key(9, 3)); });
+  EXPECT_EQ(v.checker(), "sched");
+  EXPECT_NE(v.detail().find("core 2 @ cycle 7"), std::string::npos)
+      << v.detail();
+  // A wrong second key alone (it bounds the picked core's run-ahead) is
+  // caught too.
+  EXPECT_THROW(chk.on_pick(keys, evt_key(7, 2), evt_key(9, 3)),
+               CheckViolation);
+  EXPECT_EQ(chk.stats().picks, 3u);
 }
 
 TEST(Mutation, AuditCatchesShadowRealDrift) {

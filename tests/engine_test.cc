@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "core/dag.h"
 #include "sched/central_fifo_scheduler.h"
 #include "sched/pdf_scheduler.h"
 #include "sched/ws_scheduler.h"
 #include "simarch/engine.h"
+#include "simarch/engine_detail.h"
 
 namespace cachesched {
 namespace {
@@ -260,6 +266,49 @@ TEST(Engine, RejectsTooManyCores) {
   CmpConfig c = tiny_config(1);
   c.cores = 64;
   EXPECT_THROW(CmpSimulator{c}, std::invalid_argument);
+}
+
+// EventTree against a brute-force two-smallest over its leaves, after every
+// update: random keys (with time ties between cores), idle leaves, all-idle
+// states and repeated sets of the same core, at power-of-two and padded
+// core counts.
+TEST(EventTree, MatchesBruteForceTwoSmallest) {
+  using engine_detail::evt_key;
+  std::mt19937_64 rng(12345);
+  for (const int P : {1, 2, 3, 5, 8, 13, 16, 26, 31, 32}) {
+    engine_detail::EventTree tree(P);
+    std::vector<uint64_t> keys(P, UINT64_MAX);
+    auto expect_match = [&](int step) {
+      std::vector<uint64_t> sorted = keys;
+      sorted.push_back(UINT64_MAX);  // P = 1 has no second key
+      std::partial_sort(sorted.begin(), sorted.begin() + 2, sorted.end());
+      ASSERT_EQ(tree.first(), sorted[0]) << "P=" << P << " step " << step;
+      ASSERT_EQ(tree.second(), sorted[1]) << "P=" << P << " step " << step;
+    };
+    expect_match(-1);  // all idle from construction
+    for (int step = 0; step < 4000; ++step) {
+      const int c = static_cast<int>(rng() % static_cast<uint64_t>(P));
+      const uint64_t r = rng() % 8;
+      uint64_t key;
+      if (r == 0) {
+        key = UINT64_MAX;  // core goes idle
+      } else if (r == 1) {
+        key = keys[c] == UINT64_MAX ? evt_key(0, c) : keys[c];  // same key
+      } else {
+        key = evt_key(rng() % 64, c);  // small range: frequent time ties
+      }
+      keys[c] = key;
+      tree.set(c, key);
+      expect_match(step);
+      if (step % 1000 == 999) {  // every core idle, then refilled
+        for (int i = 0; i < P; ++i) {
+          keys[i] = UINT64_MAX;
+          tree.set(i, UINT64_MAX);
+          expect_match(step);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 // timestamp-LRU caches, per-op TraceCursor expansion) for a small
 // app x scheduler x configuration matrix. The optimized engine must
 // reproduce every counter byte-for-byte: the restructuring (run buffers,
-// per-core event scan, fingerprint-probed caches) is required to change
-// *nothing* about the simulated machine.
+// tournament-tree event selection, fingerprint-probed caches) is required
+// to change *nothing* about the simulated machine.
 //
 // If a change legitimately alters simulation semantics (not performance),
 // regenerate the table by printing the same fields from a build at the
@@ -19,10 +19,15 @@
 
 #include "harness/workload_registry.h"
 #include "sched/registry.h"
+#include "simarch/config.h"
 #include "simarch/engine.h"
 
 namespace cachesched {
 namespace {
+
+// Which configuration table a case's CmpConfig comes from: Table 2's
+// default_config or Table 3's single_tech_45nm_config.
+enum class Tech { kDefault, k45nm };
 
 struct GoldenCase {
   const char* app;  // anything make_workload resolves (seed app, gen spec)
@@ -48,6 +53,7 @@ struct GoldenCase {
   uint64_t busy_sum;       // sum of core_busy_cycles
   uint64_t task_miss_sum;  // sum of task_l2_misses
   uint64_t task_ref_sum;   // sum of task_refs
+  Tech tech = Tech::kDefault;
 };
 
 // Recorded from the pre-optimization engine; see file comment.
@@ -135,13 +141,35 @@ const GoldenCase kGolden[] = {
     {"mergesort", "cfb:budget=0.5", 8, 0.03125, 0, 1000, 0,
      109422135, 433016592, 16125, 71270, 601613, 588171, 320241, 576,
      177894127, 1442827, 27252360, 0, 619154404, 588171, 1261054},
+    // The widest event trees: 32 cores (a full five-level tree) and
+    // Table 3's non-power-of-two core counts (padded leaves). Recorded
+    // from the engine with the per-event linear scan of all core keys,
+    // before event selection moved to the tournament tree.
+    {"mergesort", "pdf", 32, 0.015625, 0, 1000, 0,
+     15297309, 204672720, 4053, 25060, 272172, 247070, 145311, 2113,
+     193092971, 118971971, 11771430, 0, 403911705, 247070, 544302},
+    {"hashjoin", "ws", 32, 0.015625, 0, 1000, 0,
+     26397489, 64052560, 265, 11325, 24646, 604816, 274146, 0,
+     752344214, 570899414, 26368860, 93, 816360670, 604816, 640787},
+    {"lu", "ws", 6, 0.015625, 0, 1000, 0,
+     3099627, 11173760, 276, 4256, 30304, 4096, 0, 64,
+     1230607, 1807, 122880, 52, 13094559, 4096, 38656, Tech::k45nm},
+    {"mergesort", "pdf", 26, 0.015625, 0, 1000, 0,
+     38827705, 208238352, 21245, 102177, 4650, 670643, 469541, 0,
+     657748932, 456556032, 34205520, 0, 867469041, 670643, 777470,
+     Tech::k45nm},
 };
+
+CmpConfig base_config(const GoldenCase& g) {
+  if (g.tech == Tech::k45nm) return single_tech_45nm_config(g.cores);
+  return default_config(g.cores);
+}
 
 class GoldenSim : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenSim, MatchesPreOptimizationEngine) {
   const GoldenCase& g = GetParam();
-  CmpConfig cfg = default_config(g.cores).scaled(g.scale);
+  CmpConfig cfg = base_config(g).scaled(g.scale);
   cfg.l2_banks = g.l2_banks;
   AppOptions opt;
   opt.scale = g.scale;
@@ -194,6 +222,7 @@ std::string case_name(const ::testing::TestParamInfo<GoldenCase>& info) {
   if (g.quantum == 0) n += "_q0";
   if (g.scale != 0.03125) n += "_small";
   if (g.task_ws != 0) n += "_tws";
+  if (g.tech == Tech::k45nm) n += "_45nm";
   return n;
 }
 

@@ -76,6 +76,21 @@ TEST(WorkloadRegistry, UnknownWorkloadListsKnownNames) {
   }
 }
 
+TEST(WorkloadRegistry, RequireChecksTheNameAndHintsATypo) {
+  const WorkloadRegistry& reg = WorkloadRegistry::instance();
+  EXPECT_NO_THROW(reg.require("mergesort"));
+  EXPECT_NO_THROW(reg.require("dnc:depth=3"));  // params are not checked
+  try {
+    reg.require("mergsort");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown workload: mergsort"), std::string::npos);
+    EXPECT_NE(msg.find("did you mean mergesort?"), std::string::npos) << msg;
+  }
+  EXPECT_THROW(reg.require("dnx:depth=3"), std::invalid_argument);
+}
+
 TEST(WorkloadRegistry, SeedAppsTakeNoSpecParams) {
   const CmpConfig cfg = default_config(2).scaled(kScale);
   AppOptions opt;

@@ -189,6 +189,21 @@ int check_scheds(const std::vector<std::string>& scheds) {
   return 0;
 }
 
+/// Validates workload names up front, like check_scheds: an unknown name
+/// exits 2 with the registry's nearest-name hint before any build or file
+/// write. Generator params are still checked by the build itself.
+int check_workloads(const std::vector<std::string>& apps) {
+  for (const auto& spec : apps) {
+    try {
+      WorkloadRegistry::instance().require(spec);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "cachesched_cli: " << e.what() << "\n";
+      return 2;
+    }
+  }
+  return 0;
+}
+
 /// The --check/--verify/--repro-out vocabulary of run and replay.
 /// --verify=shadow arms the lockstep reference cache model (coherence +
 /// lru at period 1) on top of whatever --check armed.
@@ -301,6 +316,7 @@ int cmd_run(const CliArgs& args) {
   CheckFlags cf;
   if (const int rc = check_flags_from_args(args, &cf)) return rc;
   const std::string app = args.get("app", "mergesort");
+  if (const int rc = check_workloads({app})) return rc;
   // Every flag has been queried; fail on typos before the workload build.
   if (const int rc = args.check_unused()) return rc;
   const Workload w = make_workload(app, cfg, opt);
@@ -322,6 +338,7 @@ int cmd_trace(const CliArgs& args) {
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
   const std::string app = args.get("app", "mergesort");
+  if (const int rc = check_workloads({app})) return rc;
   // Every flag has been queried; fail on typos before the build and save.
   if (const int rc = args.check_unused()) return rc;
   const Workload w = make_workload(app, cfg, opt);
@@ -453,6 +470,7 @@ SweepSpec spec_from_args(const CliArgs& args) {
 
 int cmd_sweep(const CliArgs& args) {
   SweepSpec spec = spec_from_args(args);
+  if (const int rc = check_workloads(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
   if (const int rc = arm_faults_from_cli(args)) return rc;
 
@@ -633,6 +651,7 @@ int cmd_sweep(const CliArgs& args) {
 /// a single-process run of the same matrix.
 int cmd_sweep_merge(const CliArgs& args) {
   const SweepSpec spec = spec_from_args(args);
+  if (const int rc = check_workloads(spec.apps)) return rc;
   if (const int rc = check_scheds(spec.scheds)) return rc;
   if (const int rc = arm_faults_from_cli(args)) return rc;
   const std::string csv = args.get("csv", "");
