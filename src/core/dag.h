@@ -103,7 +103,7 @@ class TaskDag {
   std::string validate() const;
 
   /// Resident byte sizes of the DAG's components — the "memory at paper
-  /// scale" accounting reported by `cachesched_cli perf --memory`.
+  /// scale" accounting reported by `cachesched_cli memory`.
   struct MemoryStats {
     uint64_t trace_arena_bytes = 0;  // PackedRef arena + interleave side table
     uint64_t task_bytes = 0;         // Task records

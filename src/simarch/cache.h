@@ -6,9 +6,10 @@
 // number (all paper configurations have power-of-two set counts; the
 // constructor enforces this).
 //
-// This is the simulator's hottest data structure (see src/perf/). Flat
-// contiguous arrays, entries that never move, and the LRU order held
-// intrusively as a per-set byte permutation packed into words:
+// This is the simulator's hottest data structure (perfbench's cache.*
+// probes time it in isolation). Flat contiguous arrays, entries that
+// never move, and the LRU order held intrusively as a per-set byte
+// permutation packed into words:
 //
 //  * meta_  — tag + presence mask + dirty bit per way, position-stable:
 //             pointers returned by probe/access/install stay valid for

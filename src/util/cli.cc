@@ -1,10 +1,10 @@
 #include "util/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
+#include <system_error>
 
 namespace cachesched {
 namespace {
@@ -17,6 +17,32 @@ std::vector<std::string> split_commas(const std::string& s) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+[[noreturn]] void bad_value(const std::string& key, const std::string& s,
+                            const std::string& expected) {
+  throw CliValueError("--" + key + ": expected " + expected + ", got '" + s +
+                      "'");
+}
+
+/// Parses all of `s` as a T; anything left over, or no number at all, is
+/// a CliValueError naming the flag.
+template <typename T>
+T parse_number(const std::string& key, const std::string& s,
+               const char* expected) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) bad_value(key, s, expected);
+  return v;
+}
+
+int64_t parse_int(const std::string& key, const std::string& s) {
+  return parse_number<int64_t>(key, s, "an integer");
+}
+
+double parse_double(const std::string& key, const std::string& s) {
+  return parse_number<double>(key, s, "a number");
 }
 
 }  // namespace
@@ -53,12 +79,24 @@ std::string CliArgs::get(const std::string& key, const std::string& def) const {
 
 int64_t CliArgs::get_int(const std::string& key, int64_t def) const {
   auto s = get(key, "");
-  return s.empty() ? def : std::stoll(s);
+  return s.empty() ? def : parse_int(key, s);
+}
+
+uint64_t CliArgs::get_uint(const std::string& key, uint64_t def,
+                           uint64_t max) const {
+  auto s = get(key, "");
+  if (s.empty()) return def;
+  const int64_t v = parse_int(key, s);
+  if (v < 0) bad_value(key, s, "a non-negative integer");
+  if (static_cast<uint64_t>(v) > max) {
+    bad_value(key, s, "an integer no larger than " + std::to_string(max));
+  }
+  return static_cast<uint64_t>(v);
 }
 
 double CliArgs::get_double(const std::string& key, double def) const {
   auto s = get(key, "");
-  return s.empty() ? def : std::stod(s);
+  return s.empty() ? def : parse_double(key, s);
 }
 
 bool CliArgs::get_bool(const std::string& key, bool def) const {
@@ -72,7 +110,9 @@ std::vector<int64_t> CliArgs::get_int_list(const std::string& key,
   auto s = get(key, "");
   if (s.empty()) return def;
   std::vector<int64_t> out;
-  for (const auto& item : split_commas(s)) out.push_back(std::stoll(item));
+  for (const auto& item : split_commas(s)) {
+    out.push_back(parse_int(key, item));
+  }
   return out;
 }
 
@@ -81,7 +121,9 @@ std::vector<double> CliArgs::get_double_list(const std::string& key,
   auto s = get(key, "");
   if (s.empty()) return def;
   std::vector<double> out;
-  for (const auto& item : split_commas(s)) out.push_back(std::stod(item));
+  for (const auto& item : split_commas(s)) {
+    out.push_back(parse_double(key, item));
+  }
   return out;
 }
 

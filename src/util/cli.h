@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,17 @@ enum ExitCode : int {
   kExitInterrupted = 130,
 };
 
+/// A flag value that is not what the flag takes: a number that does not
+/// parse in full ("4x", "abc"), or a count or duration that is negative
+/// or too large for its field. The message names the flag and the value;
+/// cachesched_cli reports it and exits kExitUsage before any work runs.
+class CliValueError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Numeric flag getters parse the whole value and throw CliValueError
+/// on anything else, so "--cores=4x" is an error rather than 4 cores.
 class CliArgs {
  public:
   CliArgs(int argc, char** argv);
@@ -40,6 +52,11 @@ class CliArgs {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& def) const;
   int64_t get_int(const std::string& key, int64_t def) const;
+  /// get_int for counts, sizes and durations: a negative value, or one
+  /// above `max` (the largest the caller's field holds), is a
+  /// CliValueError instead of wrapping when the caller narrows it.
+  uint64_t get_uint(const std::string& key, uint64_t def,
+                    uint64_t max = UINT64_MAX) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 

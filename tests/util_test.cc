@@ -153,6 +153,54 @@ TEST(Cli, UnusedDetection) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+// The message CliValueError carries for `fn`, or "" if it did not throw.
+template <typename Fn>
+std::string value_error(Fn fn) {
+  try {
+    fn();
+  } catch (const CliValueError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, NumericFlagsParseInFull) {
+  auto args = make_args({"prog", "--cores=4x", "--scale=0.03125q",
+                         "--jobs=abc", "--list=1,2x", "--scales=0.5,x",
+                         "--n=-3", "--d=0.5", "--ints=1,-2"});
+  EXPECT_EQ(value_error([&] { args.get_int("cores", 0); }),
+            "--cores: expected an integer, got '4x'");
+  EXPECT_EQ(value_error([&] { args.get_double("scale", 0); }),
+            "--scale: expected a number, got '0.03125q'");
+  EXPECT_EQ(value_error([&] { args.get_int("jobs", 0); }),
+            "--jobs: expected an integer, got 'abc'");
+  EXPECT_EQ(value_error([&] { args.get_int_list("list", {}); }),
+            "--list: expected an integer, got '2x'");
+  EXPECT_EQ(value_error([&] { args.get_double_list("scales", {}); }),
+            "--scales: expected a number, got 'x'");
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_EQ(args.get_double("d", 0), 0.5);
+  EXPECT_EQ(args.get_int_list("ints", {}), (std::vector<int64_t>{1, -2}));
+}
+
+TEST(Cli, UintRejectsNegativeAndOutOfRangeValues) {
+  auto args = make_args({"prog", "--job-timeout=-1", "--task-ws=-5",
+                         "--jobs=4", "--quantum=0", "--retries=2x"});
+  EXPECT_EQ(value_error([&] { args.get_uint("job-timeout", 0); }),
+            "--job-timeout: expected a non-negative integer, got '-1'");
+  EXPECT_EQ(value_error([&] { args.get_uint("task-ws", 0); }),
+            "--task-ws: expected a non-negative integer, got '-5'");
+  EXPECT_EQ(value_error([&] { args.get_uint("retries", 0); }),
+            "--retries: expected an integer, got '2x'");
+  EXPECT_EQ(args.get_uint("jobs", 0), 4u);
+  EXPECT_EQ(args.get_uint("quantum", 7), 0u);
+  EXPECT_EQ(args.get_uint("missing", 10), 10u);
+  // The bound is the largest value the caller's narrower field holds.
+  EXPECT_EQ(args.get_uint("jobs", 0, 4), 4u);
+  EXPECT_EQ(value_error([&] { args.get_uint("jobs", 0, 3); }),
+            "--jobs: expected an integer no larger than 3, got '4'");
+}
+
 TEST(Cli, RejectsPositional) {
   EXPECT_THROW(make_args({"prog", "oops"}), std::invalid_argument);
 }

@@ -55,12 +55,10 @@
 //                        job order — byte-identical to an unsharded run;
 //                        missing records abort (listing the holes) unless
 //                        --allow-holes emits the partial matrix (exit 3)
-//   cachesched_cli perf  [--quick] [--reps=N] [--apps=a,b,...]
-//                        [--out=BENCH_sim.json]       # fixed perf suite;
-//                        diff two outputs with tools/perf_compare
-//   cachesched_cli perf --memory [--apps=mergesort] [--scale=1.0]
-//                        [--cores=8]    # deterministic DAG resident-size
-//                        report (trace arena + task metadata), no timing
+//   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
+//                        [--task-ws=BYTES]  # deterministic DAG resident-
+//                        size report (trace arena + task metadata), no
+//                        timing
 //
 // Everywhere an app name is accepted (--app, --apps), a synthetic
 // generator spec like "dnc:depth=8,fanout=4,ws=64K,share=0.3" works too
@@ -73,11 +71,16 @@
 // --dispatch, --quantum) are parsed once into a ConfigOverrides
 // (simarch/config.h) and accepted by run/trace/replay/sweep alike.
 //
+// Numeric flags must parse in full, and counts, sizes and durations
+// (--task-ws, the timing overrides, --jobs, --job-timeout, --retries,
+// --retry-backoff) must not be negative; anything else is a usage error.
+//
 // Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage error
-// (unknown flags/subcommands, bad spec strings), 3 sweep completed with
-// quarantined jobs / merge assembled with holes, 4 an armed checker caught an
-// invariant violation (a crash reproducer was written), 130 interrupted by
-// SIGINT/SIGTERM after a graceful drain. Errors go to stderr.
+// (unknown flags/subcommands, bad spec strings, bad flag values), 3 sweep
+// completed with quarantined jobs / merge assembled with holes, 4 an armed
+// checker caught an invariant violation (a crash reproducer was written), 130
+// interrupted by SIGINT/SIGTERM after a graceful drain. Errors go to stderr.
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -99,7 +102,6 @@
 #include "robust/errors.h"
 #include "robust/faultinject.h"
 #include "sched/registry.h"
-#include "perf/suite.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -138,20 +140,21 @@ int arm_faults_from_cli(const CliArgs& args) {
 ConfigOverrides overrides_from_args(const CliArgs& args) {
   ConfigOverrides o;
   if (args.has("l2-hit")) {
-    o.l2_hit_cycles = static_cast<int>(args.get_int("l2-hit", 0));
+    o.l2_hit_cycles = static_cast<int>(args.get_uint("l2-hit", 0, INT_MAX));
   }
   if (args.has("mem-latency")) {
-    o.mem_latency_cycles = static_cast<int>(args.get_int("mem-latency", 0));
+    o.mem_latency_cycles =
+        static_cast<int>(args.get_uint("mem-latency", 0, INT_MAX));
   }
   if (args.has("banks")) {
-    o.l2_banks = static_cast<int>(args.get_int("banks", 0));
+    o.l2_banks = static_cast<int>(args.get_uint("banks", 0, INT_MAX));
   }
   if (args.has("dispatch")) {
     o.task_dispatch_cycles =
-        static_cast<uint32_t>(args.get_int("dispatch", 0));
+        static_cast<uint32_t>(args.get_uint("dispatch", 0, UINT32_MAX));
   }
   if (args.has("quantum")) {
-    o.quantum_cycles = static_cast<uint64_t>(args.get_int("quantum", 0));
+    o.quantum_cycles = args.get_uint("quantum", 0);
   }
   return o;
 }
@@ -309,7 +312,7 @@ int cmd_run(const CliArgs& args) {
   const CmpConfig cfg = config_from_args(args);
   AppOptions opt;
   opt.scale = args.get_double("scale", 0.125);
-  opt.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
+  opt.mergesort_task_ws = args.get_uint("task-ws", 0);
   opt.fine_grained = args.get_bool("fine-grained", true);
   const std::vector<std::string> scheds = sched_list(args);
   if (const int rc = check_scheds(scheds)) return rc;
@@ -463,7 +466,7 @@ SweepSpec spec_from_args(const CliArgs& args) {
   spec.tech = args.get("tech", "default");
   spec.sequential_baseline = args.get_bool("seq", false);
   spec.fine_grained = args.get_bool("fine-grained", true);
-  spec.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
+  spec.mergesort_task_ws = args.get_uint("task-ws", 0);
   spec.overrides = overrides_from_args(args);
   return spec;
 }
@@ -475,11 +478,10 @@ int cmd_sweep(const CliArgs& args) {
   if (const int rc = arm_faults_from_cli(args)) return rc;
 
   SweepOptions opt;
-  opt.workers = static_cast<int>(args.get_int("jobs", 0));
-  opt.job_timeout_ms = static_cast<uint64_t>(args.get_int("job-timeout", 0));
-  opt.job_retries = static_cast<int>(args.get_int("retries", 0));
-  opt.retry_backoff_ms =
-      static_cast<uint64_t>(args.get_int("retry-backoff", 10));
+  opt.workers = static_cast<int>(args.get_uint("jobs", 0, INT_MAX));
+  opt.job_timeout_ms = args.get_uint("job-timeout", 0);
+  opt.job_retries = static_cast<int>(args.get_uint("retries", 0, INT_MAX));
+  opt.retry_backoff_ms = args.get_uint("retry-backoff", 10);
   // The CLI is sweep-as-a-service: one bad job is reported and skipped
   // (exit 3) rather than aborting the whole matrix. The library default
   // stays fail-fast; pass --quarantine=false to get it back.
@@ -661,11 +663,11 @@ int cmd_sweep_merge(const CliArgs& args) {
   // Execution-only sweep flags, accepted and ignored so the documented
   // workflow — rerun the exact shard command line with `merge` in front —
   // works verbatim (merge only loads records, it runs nothing).
-  args.get_int("jobs", 0);
+  args.get_uint("jobs", 0);
   args.get_bool("progress", false);
-  args.get_int("job-timeout", 0);
-  args.get_int("retries", 0);
-  args.get_int("retry-backoff", 0);
+  args.get_uint("job-timeout", 0);
+  args.get_uint("retries", 0);
+  args.get_uint("retry-backoff", 0);
   args.get_bool("quarantine", true);
   args.get("check", "");
   args.get("repro-out", "");
@@ -704,17 +706,18 @@ int cmd_sweep_merge(const CliArgs& args) {
   return holes.empty() ? kExitOk : kExitQuarantinedHoles;
 }
 
-/// `perf --memory`: deterministic resident-size report (no timing) for
-/// the paper-scale footprint question — peak trace-arena and
-/// task-metadata bytes of the built DAG, per workload.
-int cmd_perf_memory(const CliArgs& args) {
+/// `memory`: deterministic resident-size report (no timing) for the
+/// paper-scale footprint question — peak trace-arena and task-metadata
+/// bytes of the built DAG, per workload.
+int cmd_memory(const CliArgs& args) {
   const double scale = args.get_double("scale", 1.0);
   const int cores = static_cast<int>(args.get_int("cores", 8));
   const std::vector<std::string> apps =
       split_workload_list(args.get("apps", "mergesort"));
   AppOptions opt;
   opt.scale = scale;
-  opt.mergesort_task_ws = static_cast<uint64_t>(args.get_int("task-ws", 0));
+  opt.mergesort_task_ws = args.get_uint("task-ws", 0);
+  if (const int rc = check_workloads(apps)) return rc;
   if (const int rc = args.check_unused()) return rc;
   const CmpConfig cfg = default_config(cores).scaled(scale);
   Table t({"app", "tasks", "refs", "trace_arena_MB", "task_MB", "edge_MB",
@@ -738,29 +741,6 @@ int cmd_perf_memory(const CliArgs& args) {
   std::cout << "DAG memory at scale " << scale << " (cores=" << cores
             << "):\n";
   t.emit();
-  return 0;
-}
-
-int cmd_perf(const CliArgs& args) {
-  if (args.get_bool("memory", false)) return cmd_perf_memory(args);
-  perf::SuiteOptions opt;
-  opt.quick = args.get_bool("quick", false);
-  opt.reps = static_cast<int>(args.get_int("reps", 0));
-  if (args.has("apps")) opt.apps = split_workload_list(args.get("apps", ""));
-  const std::string out = args.get("out", "BENCH_sim.json");
-  if (const int rc = args.check_unused()) return rc;
-
-  opt.on_benchmark = [](const perf::Benchmark& b) {
-    std::fprintf(stderr, "  %-24s %10.2f %s  (min %.3fs over %d reps)\n",
-                 b.name.c_str(), b.value, b.metric.c_str(), b.stats.min,
-                 b.stats.reps);
-  };
-  std::cerr << "perf: running " << (opt.quick ? "quick" : "full")
-            << " suite\n";
-  const perf::Report rep = perf::run_suite(opt);
-  rep.write(out);
-  std::cout << "wrote " << rep.benchmarks.size() << " benchmarks to " << out
-            << "\n";
   return 0;
 }
 
@@ -801,7 +781,7 @@ int cmd_configs() {
 int usage() {
   std::cerr << "usage: cachesched_cli "
                "{run|trace|replay|replay-crash|configs|list|sweep|"
-               "sweep merge|perf} [options]\n"
+               "sweep merge|memory} [options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
 }
@@ -842,11 +822,14 @@ int main(int argc, char** argv) {
     else if (cmd == "configs") rc = cmd_configs();
     else if (cmd == "list") rc = cmd_list();
     else if (cmd == "sweep") rc = cmd_sweep(args);
-    else if (cmd == "perf") rc = cmd_perf(args);
+    else if (cmd == "memory") rc = cmd_memory(args);
     else return usage();
     // Subcommands that already failed (including on their own
     // check_unused) return as-is; re-checking would print twice.
     return rc ? rc : args.check_unused();
+  } catch (const CliValueError& e) {
+    std::cerr << "cachesched_cli: " << e.what() << "\n";
+    return kExitUsage;
   } catch (const std::exception& e) {
     std::cerr << "cachesched_cli: " << e.what() << "\n";
     return kExitRuntime;
