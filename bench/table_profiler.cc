@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   // --- SetAssoc (fully associative so results are directly comparable):
   // one cold replay per (group, size).
   t0 = std::chrono::steady_clock::now();
-  SetAssocProfiler sa(cfg.line_bytes, /*ways=*/0);
+  SetAssocProfiler sa(cfg.line_bytes);
   const auto sa_misses = sa.profile_all_groups(w.dag, sizes);
   const double sa_sec = seconds_since(t0);
 

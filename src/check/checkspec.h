@@ -37,9 +37,10 @@
 //                             and compared op-by-op against the batched
 //                             engine expander
 //   period=N  audit every Nth memory reference (default 1024; 1 =
-//             lockstep, every reference audited — what --verify=shadow
-//             arms). Shadow *maintenance* is per-reference regardless;
-//             period bounds only the O(capacity) full-state audits.
+//             lockstep, every reference audited, as in
+//             --check=coherence,lru,period=1). Shadow *maintenance* is
+//             per-reference regardless; period bounds only the
+//             O(capacity) full-state audits.
 //
 // Unknown checkers, duplicate items, and malformed periods throw
 // std::invalid_argument ("bad check spec \"...\": ...") — never silently

@@ -10,8 +10,8 @@ namespace cachesched {
 namespace check {
 namespace {
 
-constexpr const char* kMagic = "cachesched-crash-repro v2";
-constexpr const char* kMagicV1 = "cachesched-crash-repro v1";
+constexpr const char* kMagicPrefix = "cachesched-crash-repro v";
+constexpr const char* kVersion = "3";
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("bad crash repro: " + what);
@@ -91,7 +91,7 @@ std::string one_line(std::string s) {
 
 std::string CrashRepro::serialize() const {
   std::ostringstream os;
-  os << kMagic << "\n";
+  os << kMagicPrefix << kVersion << "\n";
   os << "# replay: cachesched_cli replay-crash --repro=<this file>\n";
   os << "workload=" << one_line(workload) << "\n";
   os << "sched=" << one_line(sched) << "\n";
@@ -103,7 +103,6 @@ std::string CrashRepro::serialize() const {
   os << "seed=" << seed << "\n";
   os << "overrides=" << overrides.serialize() << "\n";
   os << "check=" << one_line(check) << "\n";
-  os << "verify=" << (verify.empty() ? "none" : verify) << "\n";
   os << "op_index=" << op_index << "\n";
   os << "violation=" << one_line(violation) << "\n";
   return os.str();
@@ -113,14 +112,14 @@ CrashRepro CrashRepro::parse(const std::string& text) {
   std::stringstream ss(text);
   std::string line;
   std::getline(ss, line);  // leaves `line` empty on an empty file
-  if (line == kMagicV1) {
-    fail("v1 reproducers are no longer supported (v1 recorded a host "
-         "thread count and verify=serial, which were removed with the "
-         "multi-threaded engine); re-create the run with the current "
-         "cachesched_cli");
+  const std::string prefix = kMagicPrefix;
+  if (line.rfind(prefix, 0) != 0) {
+    fail("missing magic line \"" + prefix + kVersion + "\"");
   }
-  if (line != kMagic) {
-    fail("missing magic line \"" + std::string(kMagic) + "\"");
+  if (const std::string ver = line.substr(prefix.size()); ver != kVersion) {
+    fail("v" + ver + " reproducers are no longer supported (this build " +
+         "reads v" + kVersion + " only); re-create the run with the " +
+         "current cachesched_cli");
   }
   std::map<std::string, std::string> kv;
   while (std::getline(ss, line)) {
@@ -151,10 +150,6 @@ CrashRepro CrashRepro::parse(const std::string& text) {
   r.seed = parse_u64("seed", take("seed"));
   r.overrides = parse_overrides(take("overrides"));
   r.check = take("check");
-  r.verify = take("verify");
-  if (r.verify != "none" && r.verify != "shadow") {
-    fail("verify=" + r.verify + " is not none or shadow");
-  }
   r.op_index = parse_u64("op_index", take("op_index"));
   r.violation = take("violation");
   if (!kv.empty()) fail("unknown key " + kv.begin()->first);

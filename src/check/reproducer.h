@@ -4,20 +4,21 @@
 // file capturing everything needed to re-create the failing run from scratch:
 // the workload spec (a seed app name or src/gen generator spec), the scheduler
 // spec, the configuration coordinates (tech table, cores, scale, timing
-// overrides), the workload options (seed, task-ws, fine-grained), the execution
-// knobs (check spec, verify mode) and the violation itself with its op
-// coordinate. Workloads and simulations are deterministic functions of exactly
-// these inputs, so replaying the file reproduces the violation bit-for-bit:
+// overrides), the workload options (seed, task-ws, fine-grained), the armed
+// check spec and the violation itself with its op coordinate. Workloads and
+// simulations are deterministic functions of exactly these inputs, so
+// replaying the file reproduces the violation bit-for-bit:
 //
 //   cachesched_cli replay-crash --repro=crash.repro
 //
 // Format: '#' comment lines, then one key=value per line (values may
 // contain '='; the first '=' splits). Unknown keys are rejected —
 // reproducers are written and read by this code only, so leniency would
-// just mask version skew. The leading "cachesched-crash-repro v2" line
-// is the magic; bump the version when the schema changes. v1 files hold
-// a host-thread-count key and a verify=serial mode that no longer exist,
-// so they are rejected with a message naming the version.
+// just mask version skew. The leading "cachesched-crash-repro v3" line
+// is the magic; bump the version when the schema changes. Any other
+// version is rejected with a message naming it (v1 held a host thread
+// count and v2 a verify mode, both removed; the check key holds every
+// armed checker).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,7 @@ struct CrashRepro {
   bool fine_grained = true;  // AppOptions::fine_grained
   uint64_t seed = 42;        // AppOptions::seed
   ConfigOverrides overrides;
-  std::string check;   // armed checkspec ("" = disarmed)
-  std::string verify;  // "none" | "shadow"
+  std::string check;         // armed checkspec ("" = disarmed)
   uint64_t op_index = 0;     // CheckViolation coordinate
   std::string violation;     // one-line what()
 
@@ -47,8 +47,8 @@ struct CrashRepro {
   std::string serialize() const;
 
   /// Inverse of serialize(). Throws std::invalid_argument on bad magic
-  /// (including a v1 file), malformed lines, unknown or duplicate keys,
-  /// or bad values ("bad crash repro: ...").
+  /// (including another format version), malformed lines, unknown or
+  /// duplicate keys, or bad values ("bad crash repro: ...").
   static CrashRepro parse(const std::string& text);
 
   /// Writes serialize() to `path` (throws std::runtime_error on I/O

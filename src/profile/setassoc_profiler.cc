@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "profile/lru_stack.h"
-#include "simarch/cache.h"
 
 namespace cachesched {
 
@@ -16,38 +14,18 @@ SetAssocProfiler::GroupStats SetAssocProfiler::profile_group(
   const int line_shift = std::countr_zero(line_bytes_);
   const uint64_t lines = std::max<uint64_t>(cache_bytes / line_bytes_, 1);
   GroupStats s;
-  if (ways_ == 0) {  // fully associative
-    // A fully-associative true-LRU cache of C lines hits exactly the
-    // references with reuse distance < C (Mattson), so the replay rides
-    // the fast LRU-stack primitive instead of a hash + list cache. The
-    // multi-pass structure — one cold replay per (group, size), the §6.1
-    // baseline this profiler exists to represent — is unchanged.
-    LruStackModel stack;
-    for (TaskId t = b; t <= e; ++t) {
-      TraceCursor cur = dag.cursor(t);
-      for (TraceOp op = cur.next(); op.kind != TraceOp::kDone;
-           op = cur.next()) {
-        if (op.kind != TraceOp::kMem) continue;
-        ++s.refs;
-        const StackRef r = stack.access(op.addr >> line_shift, t);
-        s.hits += !r.cold() && r.distance < lines;
-      }
-    }
-    return s;
-  }
-  const uint64_t sets = std::bit_floor(std::max<uint64_t>(lines / ways_, 1));
-  SetAssocCache cache(sets, ways_);
+  // A fully-associative true-LRU cache of C lines hits exactly the
+  // references with reuse distance < C (Mattson), so the replay rides the
+  // fast LRU-stack primitive. It stays one cold replay per (group, size):
+  // that multi-pass cost is the §6.1 baseline this profiler represents.
+  LruStackModel stack;
   for (TaskId t = b; t <= e; ++t) {
     TraceCursor cur = dag.cursor(t);
     for (TraceOp op = cur.next(); op.kind != TraceOp::kDone; op = cur.next()) {
       if (op.kind != TraceOp::kMem) continue;
       ++s.refs;
-      const uint64_t line = op.addr >> line_shift;
-      if (cache.access(line) != nullptr) {
-        ++s.hits;
-      } else {
-        cache.install(line, op.is_write, nullptr);
-      }
+      const StackRef r = stack.access(op.addr >> line_shift, t);
+      s.hits += !r.cold() && r.distance < lines;
     }
   }
   return s;

@@ -1,6 +1,6 @@
 // The SetAssoc baseline profiler (paper §6.1): measures a task group's
-// miss curve by replaying the group's trace through set-associative cache
-// simulations, one replay per (group, cache size) — cold-started, exactly
+// miss curve by replaying the group's trace through a cold-started
+// fully-associative LRU cache, one replay per (group, cache size), exactly
 // as the paper describes. Tedious by design: profiling a hierarchy of
 // nested groups revisits each reference once per enclosing level, which is
 // what the one-pass LruTree profiler (ws_profiler.h) eliminates.
@@ -16,9 +16,7 @@ namespace cachesched {
 
 class SetAssocProfiler {
  public:
-  /// `ways` = 0 selects full associativity (one set).
-  SetAssocProfiler(uint32_t line_bytes, int ways = 16)
-      : line_bytes_(line_bytes), ways_(ways) {}
+  explicit SetAssocProfiler(uint32_t line_bytes) : line_bytes_(line_bytes) {}
 
   struct GroupStats {
     uint64_t refs = 0;
@@ -38,7 +36,6 @@ class SetAssocProfiler {
 
  private:
   uint32_t line_bytes_;
-  int ways_;
 };
 
 }  // namespace cachesched

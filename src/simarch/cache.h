@@ -42,9 +42,11 @@
 // registers. Word-typed stores keep the hot loop's state in registers.
 //
 // The byte permutation caps the fast layout at 255 ways; wider caches
-// (the fully-associative configurations of tests and profilers) fall back
-// to per-way timestamps with a linear victim search — same true-LRU
-// behaviour, chosen automatically by associativity.
+// fall back to per-way timestamps with a linear victim search — same
+// true-LRU behaviour, chosen automatically by associativity. The paper
+// configurations use at most 28 ways; the wide path serves the single-set
+// ideal caches (C + P*D lines, up to ~10^5 ways) that tests/theorem_test.cc
+// needs to check Theorem 3.1 through the engine.
 //
 // For the shared L2, each line's meta carries:
 //  * a presence mask: which cores' L1s hold a copy (inclusion bookkeeping

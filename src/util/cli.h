@@ -24,9 +24,8 @@ enum ExitCode : int {
   /// The sweep finished but some jobs were quarantined, or a merge was
   /// assembled with holes — output exists but is incomplete.
   kExitQuarantinedHoles = 3,
-  /// A runtime invariant checker (--check) caught a violation, or
-  /// differential verification (--verify) found a divergence. A crash
-  /// reproducer file was written when --repro-out was given.
+  /// A runtime invariant checker (--check) caught a violation. A crash
+  /// reproducer file was written (to --repro-out, default crash.repro).
   kExitVerifyFailed = 4,
   /// SIGINT/SIGTERM: the sweep shut down gracefully (completed results
   /// durable; a --resume command line was printed). 128 + SIGINT's 2,

@@ -118,30 +118,45 @@ TEST(Cache, WideAssociativityFallback) {
   EXPECT_EQ(c.valid_lines(), 299u);
 }
 
-TEST(Cache, LruStressAgainstReferenceModel) {
-  // Compare against a simple per-set reference implementation.
-  constexpr uint64_t kSets = 4, kWays = 4;
-  SetAssocCache c(kSets, kWays);
-  std::vector<std::vector<uint64_t>> ref(kSets);  // MRU at front
+// Drives random accesses and invalidations through a `sets` x `ways`
+// cache and a simple per-set reference list, comparing hits and the full
+// MRU-first order of the touched set after every operation.
+void lru_stress(uint64_t sets, int ways) {
+  SCOPED_TRACE(::testing::Message() << sets << " sets x " << ways << " ways");
+  SetAssocCache c(sets, ways);
+  std::vector<std::vector<uint64_t>> ref(sets);  // MRU at front
   SplitMix64 rng(11);
+  const uint64_t universe = 4 * sets * static_cast<uint64_t>(ways);
   for (int i = 0; i < 20000; ++i) {
-    const uint64_t line = rng.next() % 64;
-    const uint64_t set = line % kSets;
+    const uint64_t line = rng.next() % universe;
+    const uint64_t set = line % sets;
     auto& v = ref[set];
     const auto it = std::find(v.begin(), v.end(), line);
     const bool ref_hit = it != v.end();
     if (ref_hit) v.erase(it);
-    v.insert(v.begin(), line);
-    if (v.size() > kWays) v.pop_back();
-
-    if (SetAssocCache::Line* e = c.probe(line)) {
-      EXPECT_TRUE(ref_hit) << "iteration " << i;
-      c.touch(e);
+    if (rng.next() % 8 == 0) {  // invalidate instead of access
+      c.invalidate(line);
     } else {
-      EXPECT_FALSE(ref_hit) << "iteration " << i;
-      c.install(line, false, nullptr);
+      v.insert(v.begin(), line);
+      if (v.size() > static_cast<size_t>(ways)) v.pop_back();
+      if (SetAssocCache::Line* e = c.probe(line)) {
+        ASSERT_TRUE(ref_hit) << "iteration " << i;
+        c.touch(e);
+      } else {
+        ASSERT_FALSE(ref_hit) << "iteration " << i;
+        c.install(line, false, nullptr);
+      }
     }
+    std::vector<uint64_t> order;
+    for (int w : c.lru_order(set)) order.push_back(c.line_at(set, w).tag);
+    ASSERT_EQ(order, v) << "iteration " << i;
   }
+}
+
+TEST(Cache, LruStressAgainstReferenceModel) {
+  // 4: every L1; 28: the widest paper L2; 255: the byte permutation's
+  // top; 300: the timestamp fallback.
+  for (int ways : {4, 28, 255, 300}) lru_stress(4, ways);
 }
 
 }  // namespace

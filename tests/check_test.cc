@@ -393,7 +393,6 @@ TEST(CrashReproFile, SerializeParseRoundTrips) {
   r.seed = 7;
   r.overrides.l2_hit_cycles = 19;
   r.check = "all,period=16";
-  r.verify = "shadow";
   r.op_index = 12345;
   r.violation = "check violation [lru] at op 12345: multi\nline detail";
   const CrashRepro q = CrashRepro::parse(r.serialize());
@@ -404,7 +403,7 @@ TEST(CrashReproFile, SerializeParseRoundTrips) {
   EXPECT_EQ(q.scale, 0.25);
   EXPECT_EQ(q.task_ws, 4096u);
   EXPECT_FALSE(q.fine_grained);
-  EXPECT_EQ(q.verify, "shadow");
+  EXPECT_EQ(q.check, "all,period=16");
   EXPECT_EQ(q.op_index, 12345u);
   // Newlines are flattened on serialize — one key=value per line.
   EXPECT_EQ(q.violation.find('\n'), std::string::npos);
@@ -439,30 +438,29 @@ TEST(CrashReproFile, Rejections) {
   const size_t c = badval.find("cores=");
   badval.replace(c, badval.find('\n', c) - c, "cores=banana");
   EXPECT_THROW(CrashRepro::parse(badval), std::invalid_argument);
-  // verify= takes only the modes the CLI still has.
-  std::string badverify = good;
-  const size_t v = badverify.find("verify=none");
-  ASSERT_NE(v, std::string::npos);
-  badverify.replace(v, 11, "verify=serial");
-  EXPECT_THROW(CrashRepro::parse(badverify), std::invalid_argument);
+  // verify= was a v2 key; v3 has none.
+  EXPECT_THROW(CrashRepro::parse(good + "verify=none\n"),
+               std::invalid_argument);
 }
 
-TEST(CrashReproFile, RejectsV1WithAClearMessage) {
+TEST(CrashReproFile, RejectsOldVersionsWithAClearMessage) {
   CrashRepro base;
   base.workload = "lu";
   base.sched = "ws";
-  const std::string v2_magic = "cachesched-crash-repro v2";
-  std::string v1 = base.serialize();
-  ASSERT_EQ(v1.rfind(v2_magic, 0), 0u);
-  v1.replace(0, v2_magic.size(), "cachesched-crash-repro v1");
-  try {
-    (void)CrashRepro::parse(v1);
-    ADD_FAILURE() << "a v1 reproducer parsed";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("v1 reproducers are no longer supported"),
-              std::string::npos)
-        << what;
+  const std::string v3_magic = "cachesched-crash-repro v3";
+  for (const std::string version : {"v1", "v2"}) {
+    std::string old = base.serialize();
+    ASSERT_EQ(old.rfind(v3_magic, 0), 0u);
+    old.replace(0, v3_magic.size(), "cachesched-crash-repro " + version);
+    try {
+      (void)CrashRepro::parse(old);
+      ADD_FAILURE() << "a " << version << " reproducer parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(version + " reproducers are no longer supported"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

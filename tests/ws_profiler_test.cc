@@ -47,7 +47,7 @@ void check_profiler_against_replay(const TaskDag& dag,
                                    const std::vector<uint64_t>& sizes) {
   WorkingSetProfiler prof(sizes, 128);
   prof.run(dag);
-  SetAssocProfiler replay(128, /*ways=*/0);  // fully associative
+  SetAssocProfiler replay(128);
   for (GroupId g = 0; g < dag.num_groups(); ++g) {
     const TaskGroup& grp = dag.group(g);
     for (size_t s = 0; s < sizes.size(); ++s) {

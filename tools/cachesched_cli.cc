@@ -3,23 +3,22 @@
 //   cachesched_cli run   --app=mergesort --cores=16 [--sched=pdf,ws]
 //                        [--scale=0.125] [--tech=default|45nm]
 //                        [--l2-hit=N] [--mem-latency=N] [--task-ws=BYTES]
-//                        [--check=SPEC] [--verify=none|shadow]
-//                        [--repro-out=FILE]  # runtime invariant checking
-//                        (grammar: src/check/checkspec.h; also armed by
-//                        $CACHESCHED_CHECK). --verify=shadow runs the
-//                        reference cache model in lockstep (coherence+lru
-//                        at period 1). A violation writes a crash
-//                        reproducer (default crash.repro) and exits 4.
+//                        [--check=SPEC] [--repro-out=FILE]  # runtime
+//                        invariant checking (grammar: src/check/checkspec.h;
+//                        also armed by $CACHESCHED_CHECK);
+//                        --check=coherence,lru,period=1 runs the reference
+//                        cache model in lockstep. A violation writes a
+//                        crash reproducer (default crash.repro), exits 4.
 //   cachesched_cli trace --app=hashjoin --cores=8 --out=join.dag
 //                        [--scale=0.125]            # collect once...
 //   cachesched_cli replay --dag=join.dag --cores=8 [--sched=pdf]
 //                        [--scale=0.125]            # ...simulate many
-//                        (accepts --check/--verify/--repro-out like run)
+//                        (accepts --check/--repro-out like run)
 //   cachesched_cli replay-crash --repro=crash.repro  # re-create the run a
 //                        crash reproducer captured, with the same checkers
 //                        armed: exits 4 if the violation reproduces, 0 if
 //                        the run is clean (format: src/check/reproducer.h)
-//   cachesched_cli configs                          # print Tables 2 and 3
+//   cachesched_cli configs                          # print Tables 1-3
 //   cachesched_cli list                             # registered schedulers
 //                                                   # and workloads
 //   cachesched_cli sweep --apps=mergesort,hashjoin,lu [--scheds=pdf,ws]
@@ -73,7 +72,9 @@
 //
 // Numeric flags must parse in full, and counts, sizes and durations
 // (--task-ws, the timing overrides, --jobs, --job-timeout, --retries,
-// --retry-backoff) must not be negative; anything else is a usage error.
+// --retry-backoff) must not be negative; --jobs, --retries, --job-timeout
+// and --retry-backoff are also capped at INT_MAX (--job-timeout: ~24.8
+// days). Anything else is a usage error.
 //
 // Exit codes (util/cli.h ExitCode): 0 success, 1 runtime error, 2 usage error
 // (unknown flags/subcommands, bad spec strings, bad flag values), 3 sweep
@@ -207,30 +208,17 @@ int check_workloads(const std::vector<std::string>& apps) {
   return 0;
 }
 
-/// The --check/--verify/--repro-out vocabulary of run and replay.
-/// --verify=shadow arms the lockstep reference cache model (coherence +
-/// lru at period 1) on top of whatever --check armed.
+/// The --check/--repro-out vocabulary of run and replay.
 struct CheckFlags {
-  check::CheckSpec check;       // armed checkers (incl. --verify=shadow)
-  std::string verify = "none";  // none | shadow
+  check::CheckSpec check;  // armed checkers
   std::string repro_out = "crash.repro";
 };
 
 int check_flags_from_args(const CliArgs& args, CheckFlags* out) {
   const std::string cs = args.get("check", "");
-  const std::string vs = args.get("verify", "none");
   out->repro_out = args.get("repro-out", "crash.repro");
   try {
     if (!cs.empty()) out->check = check::CheckSpec::parse(cs);
-    if (vs == "shadow") {
-      out->check.coherence = true;
-      out->check.lru = true;
-      out->check.period = 1;
-    } else if (vs != "none") {
-      throw std::invalid_argument("--verify must be none or shadow (got \"" +
-                                  vs + "\")");
-    }
-    out->verify = vs;
   } catch (const std::invalid_argument& e) {
     std::cerr << "cachesched_cli: " << e.what() << "\n";
     return kExitUsage;
@@ -254,7 +242,7 @@ int fail_verify(const CheckFlags& cf, const check::CrashRepro& repro) {
 
 /// Runs every scheduler and prints the result table. `cf`/`base` carry
 /// the check configuration and the reproducer identity of the run (base's
-/// sched/verify/op_index/violation fields are filled in here); an
+/// sched/op_index/violation fields are filled in here); an
 /// invariant violation writes the reproducer and returns
 /// kExitVerifyFailed.
 int report(const TaskDag& dag, const CmpConfig& cfg,
@@ -263,7 +251,6 @@ int report(const TaskDag& dag, const CmpConfig& cfg,
            check::CrashRepro base) {
   Table t({"sched", "cycles", "L2miss/1Kinstr", "l1_hits", "l2_hits",
            "l2_misses", "bw_util%", "core_util%", "steals"});
-  base.verify = cf.verify;
   for (const auto& sched : scheds) {
     CmpSimulator sim(cfg);
     if (quantum) sim.set_quantum_cycles(*quantum);
@@ -380,8 +367,8 @@ int cmd_replay(const CliArgs& args) {
 /// `replay-crash`: re-creates the run a crash reproducer captured —
 /// same workload, scheduler, configuration and armed checkers — and
 /// reports whether the violation reproduces. An unreadable reproducer
-/// (bad magic — including a v1 file — or a malformed line) is a usage
-/// error, exit 2.
+/// (bad magic — including an older format version — or a malformed line)
+/// is a usage error, exit 2.
 int cmd_replay_crash(const CliArgs& args) {
   const std::string path = args.get("repro", "");
   if (path.empty()) {
@@ -398,8 +385,7 @@ int cmd_replay_crash(const CliArgs& args) {
   }
   std::cerr << "replay-crash: " << r.workload << " / " << r.sched
             << " cores=" << r.cores << " scale=" << r.scale
-            << (r.check.empty() ? "" : " check=" + r.check)
-            << " verify=" << r.verify << "\n";
+            << (r.check.empty() ? "" : " check=" + r.check) << "\n";
   std::cerr << "replay-crash: recorded violation at op " << r.op_index
             << ": " << r.violation << "\n";
 
@@ -479,9 +465,10 @@ int cmd_sweep(const CliArgs& args) {
 
   SweepOptions opt;
   opt.workers = static_cast<int>(args.get_uint("jobs", 0, INT_MAX));
-  opt.job_timeout_ms = args.get_uint("job-timeout", 0);
+  // Capped so the watchdog's steady_clock deadline cannot overflow.
+  opt.job_timeout_ms = args.get_uint("job-timeout", 0, INT_MAX);
   opt.job_retries = static_cast<int>(args.get_uint("retries", 0, INT_MAX));
-  opt.retry_backoff_ms = args.get_uint("retry-backoff", 10);
+  opt.retry_backoff_ms = args.get_uint("retry-backoff", 10, INT_MAX);
   // The CLI is sweep-as-a-service: one bad job is reported and skipped
   // (exit 3) rather than aborting the whole matrix. The library default
   // stays fail-fast; pass --quarantine=false to get it back.
@@ -663,11 +650,11 @@ int cmd_sweep_merge(const CliArgs& args) {
   // Execution-only sweep flags, accepted and ignored so the documented
   // workflow — rerun the exact shard command line with `merge` in front —
   // works verbatim (merge only loads records, it runs nothing).
-  args.get_uint("jobs", 0);
+  args.get_uint("jobs", 0, INT_MAX);
   args.get_bool("progress", false);
-  args.get_uint("job-timeout", 0);
-  args.get_uint("retries", 0);
-  args.get_uint("retry-backoff", 0);
+  args.get_uint("job-timeout", 0, INT_MAX);
+  args.get_uint("retries", 0, INT_MAX);
+  args.get_uint("retry-backoff", 0, INT_MAX);
   args.get_bool("quarantine", true);
   args.get("check", "");
   args.get("repro-out", "");
@@ -773,6 +760,9 @@ int cmd_configs() {
     std::cout << "\n" << title << "\n";
     for (const auto& c : v) std::cout << "  " << c.describe() << "\n";
   };
+  const CmpConfig common = default_config(1);
+  std::cout << "Table 1 (common to every row): " << common.line_bytes
+            << "B lines, " << common.l1_hit_cycles << "-cycle L1 hits\n";
   print("Table 2 (default, scaling technology):", default_configs());
   print("Table 3 (45nm single technology):", single_tech_45nm_configs());
   return 0;

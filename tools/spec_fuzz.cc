@@ -204,7 +204,6 @@ std::vector<Grammar> make_grammars() {
   seed_repro.workload = "dnc:depth=4,fanout=2";
   seed_repro.sched = "ws";
   seed_repro.check = "all,period=64";
-  seed_repro.verify = "shadow";
   seed_repro.op_index = 1234;
   seed_repro.violation = "coherence: example";
   check::CrashRepro seed2;
