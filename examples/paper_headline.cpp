@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const double scale = args.get_double("scale", 0.0625);
   const CmpConfig cfg = default_config(16).scaled(scale);
-  std::printf("config: %s  (inputs scaled x%g; see DESIGN.md)\n\n",
+  std::printf("config: %s  (inputs and caches scaled x%g)\n\n",
               cfg.describe().c_str(), scale);
 
   for (const char* app : {"mergesort", "hashjoin"}) {

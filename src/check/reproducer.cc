@@ -1,5 +1,7 @@
 #include "check/reproducer.h"
 
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -17,7 +19,11 @@ constexpr const char* kVersion = "3";
   throw std::invalid_argument("bad crash repro: " + what);
 }
 
-uint64_t parse_u64(const std::string& key, const std::string& val) {
+/// Parses `val` as an unsigned integer no larger than `max` (the largest
+/// value the destination field holds), so a value cannot wrap when it is
+/// narrowed: cores=4294967298 is rejected rather than replayed as 2.
+uint64_t parse_u64(const std::string& key, const std::string& val,
+                   uint64_t max = UINT64_MAX) {
   if (val.empty() || val[0] == '-' || val[0] == '+') {
     fail(key + "=" + val + " is not a valid unsigned integer");
   }
@@ -26,6 +32,10 @@ uint64_t parse_u64(const std::string& key, const std::string& val) {
   const unsigned long long raw = std::strtoull(val.c_str(), &end, 10);
   if (errno == ERANGE || !end || *end != '\0' || end == val.c_str()) {
     fail(key + "=" + val + " is not a valid unsigned integer");
+  }
+  if (raw > max) {
+    fail(key + "=" + val + " is out of range (max " + std::to_string(max) +
+         ")");
   }
   return raw;
 }
@@ -60,7 +70,10 @@ ConfigOverrides parse_overrides(const std::string& s) {
     const std::string key = item.substr(0, eq);
     const std::string val = item.substr(eq + 1);
     if (val == "-") continue;
-    const uint64_t v = parse_u64("overrides." + key, val);
+    const uint64_t max = key == "dispatch"  ? UINT32_MAX
+                         : key == "quantum" ? UINT64_MAX
+                                            : INT_MAX;
+    const uint64_t v = parse_u64("overrides." + key, val, max);
     if (key == "l2_hit") {
       o.l2_hit_cycles = static_cast<int>(v);
     } else if (key == "mem_latency") {
@@ -143,7 +156,7 @@ CrashRepro CrashRepro::parse(const std::string& text) {
   r.workload = take("workload");
   r.sched = take("sched");
   r.tech = take("tech");
-  r.cores = static_cast<int>(parse_u64("cores", take("cores")));
+  r.cores = static_cast<int>(parse_u64("cores", take("cores"), INT_MAX));
   r.scale = parse_f64("scale", take("scale"));
   r.task_ws = parse_u64("task_ws", take("task_ws"));
   r.fine_grained = parse_bool("fine_grained", take("fine_grained"));

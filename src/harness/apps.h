@@ -1,13 +1,14 @@
 // Shared experiment harness: builds paper benchmarks sized for a CMP
 // configuration and scale factor, constructs schedulers by name, and runs
-// simulations. Used by every bench binary, the examples and the
-// integration tests, so all experiments agree on sizing rules.
+// simulations. Used by the figure presets, the bench drivers, the
+// examples and the integration tests, so all experiments agree on sizing
+// rules.
 //
-// Scaling rule (DESIGN.md §3, EXPERIMENTS.md): at scale s the inputs are
-// s times the paper's, and callers pass a CmpConfig whose caches were
-// scaled by the same s (CmpConfig::scaled). Shapes — who wins, by what
-// factor, where crossovers fall — depend on the input/cache ratios, which
-// are preserved.
+// Scaling rule (README.md, "Figure/table reproductions"): at scale s the
+// inputs are s times the paper's, and callers pass a CmpConfig whose
+// caches were scaled by the same s (CmpConfig::scaled). Shapes — who
+// wins, by what factor, where crossovers fall — depend on the input/cache
+// ratios, which are preserved.
 #pragma once
 
 #include <memory>

@@ -14,8 +14,16 @@ RunGuard::RunGuard(uint64_t timeout_ms, std::function<bool()> cancelled)
 }
 
 void RunGuard::start() {
-  deadline_ = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(timeout_ms_);
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  // Saturate: a budget past the end of the clock's range never expires,
+  // where now + timeout_ms would overflow into the past and time the job
+  // out at once.
+  const auto headroom = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - now);
+  deadline_ = timeout_ms_ >= static_cast<uint64_t>(headroom.count())
+                  ? Clock::time_point::max()
+                  : now + std::chrono::milliseconds(timeout_ms_);
 }
 
 void RunGuard::poll() const {

@@ -1,6 +1,6 @@
-// Console table / CSV emission for bench harnesses. Every figure bench
-// prints (a) an aligned human-readable table and (b) optionally a CSV file,
-// so results can be diffed against EXPERIMENTS.md and replotted.
+// Console table / CSV emission for the CLI and the bench drivers. Every
+// figure prints (a) an aligned human-readable table and (b) optionally a
+// CSV file, so results can be diffed across runs and replotted.
 #pragma once
 
 #include <string>

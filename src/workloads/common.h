@@ -1,7 +1,7 @@
 // Shared helpers for workload generators: a line-aligned virtual address
 // allocator and trace-emission conveniences. Workload generators translate
 // an algorithm's real data layout and access pattern into a computation DAG
-// with per-task reference blocks (see src/core/trace.h and DESIGN.md §3).
+// with per-task reference blocks (see src/core/trace.h).
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,8 @@
 // not merely against clean runs.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -438,6 +440,35 @@ TEST(CrashReproFile, Rejections) {
   const size_t c = badval.find("cores=");
   badval.replace(c, badval.find('\n', c) - c, "cores=banana");
   EXPECT_THROW(CrashRepro::parse(badval), std::invalid_argument);
+  // Out of range for the field the value narrows to: it must not wrap
+  // (cores=4294967298 once replayed as cores=2).
+  auto with_line = [&good](const std::string& line) {
+    const std::string key = line.substr(0, line.find('=') + 1);
+    std::string text = good;
+    const size_t at = text.find("\n" + key) + 1;
+    text.replace(at, text.find('\n', at) - at, line);
+    return text;
+  };
+  for (const char* bad :
+       {"cores=4294967298", "cores=2147483648",
+        "overrides=l2_hit=2147483648,mem_latency=-,banks=-,dispatch=-,"
+        "quantum=-",
+        "overrides=l2_hit=-,mem_latency=4294967299,banks=-,dispatch=-,"
+        "quantum=-",
+        "overrides=l2_hit=-,mem_latency=-,banks=4294967300,dispatch=-,"
+        "quantum=-",
+        "overrides=l2_hit=-,mem_latency=-,banks=-,dispatch=4294967296,"
+        "quantum=-"}) {
+    EXPECT_THROW(CrashRepro::parse(with_line(bad)), std::invalid_argument)
+        << bad;
+  }
+  // The largest in-range values still parse.
+  const CrashRepro widest = CrashRepro::parse(
+      with_line("overrides=l2_hit=2147483647,mem_latency=-,banks=-,"
+                "dispatch=4294967295,quantum=18446744073709551615"));
+  EXPECT_EQ(*widest.overrides.l2_hit_cycles, INT_MAX);
+  EXPECT_EQ(*widest.overrides.task_dispatch_cycles, UINT32_MAX);
+  EXPECT_EQ(*widest.overrides.quantum_cycles, UINT64_MAX);
   // verify= was a v2 key; v3 has none.
   EXPECT_THROW(CrashRepro::parse(good + "verify=none\n"),
                std::invalid_argument);

@@ -1,12 +1,14 @@
 // End-to-end integration tests: miniature versions of the paper's
-// experiments asserting the qualitative relationships the full benches
-// reproduce (see EXPERIMENTS.md). Small scales keep these fast; the bench
-// binaries run the full-size sweeps.
+// experiments asserting the qualitative relationships the full figures
+// reproduce. The figure cases take their records from the same presets
+// `cachesched_cli figure NAME` runs (src/exp/figures.h), at 1/32 scale.
 #include <gtest/gtest.h>
 
-#include "coarsen/coarsen.h"
+#include <map>
+#include <stdexcept>
+
+#include "exp/figures.h"
 #include "harness/apps.h"
-#include "profile/ws_profiler.h"
 #include "simarch/engine.h"
 
 namespace cachesched {
@@ -14,115 +16,106 @@ namespace {
 
 constexpr double kScale = 0.03125;  // 1/32 of paper sizes
 
-struct Pair {
-  SimResult pdf, ws;
-};
+/// The record of `app`/`sched`/`cores`/`tag` in preset `figure`, whose
+/// matrix is swept once per test binary at kScale.
+const SweepRecord& rec(const std::string& figure, const std::string& app,
+                       const std::string& sched, int cores,
+                       const std::string& tag = "") {
+  static std::map<std::string, SweepResults> swept;
+  auto it = swept.find(figure);
+  if (it == swept.end()) {
+    it = swept.emplace(figure, run_sweep(figure_matrix(figure, kScale))).first;
+  }
+  const SweepRecord* r = it->second.find(app, sched, cores, tag);
+  if (!r) {
+    throw std::out_of_range(figure + " has no record " + app + "/" + sched +
+                            "/" + std::to_string(cores) + "/" + tag);
+  }
+  return *r;
+}
 
-Pair run_pair(const std::string& app, int cores, double scale = kScale) {
-  const CmpConfig cfg = default_config(cores).scaled(scale);
-  AppOptions opt;
-  opt.scale = scale;
-  const Workload w = make_app(app, cfg, opt);
-  return {simulate_app(w, cfg, "pdf"), simulate_app(w, cfg, "ws")};
+const SimResult& fig2(const std::string& app, const std::string& sched,
+                      int cores) {
+  return rec("fig2_default_configs", app, sched, cores).result;
+}
+
+double ratio(uint64_t num, uint64_t den) {
+  return static_cast<double>(num) / static_cast<double>(den);
 }
 
 TEST(Integration, Fig2MergesortPdfBeatsWsAt16Cores) {
-  const Pair r = run_pair("mergesort", 16);
-  EXPECT_LT(r.pdf.l2_misses, r.ws.l2_misses);
-  EXPECT_LT(r.pdf.cycles, r.ws.cycles);
+  const SimResult& pdf = fig2("mergesort", "pdf", 16);
+  const SimResult& ws = fig2("mergesort", "ws", 16);
+  EXPECT_LT(pdf.l2_misses, ws.l2_misses);
+  EXPECT_LT(pdf.cycles, ws.cycles);
   // Relative speedup in a plausible band (paper: 1.03-1.19 at 2-32 cores;
   // scaled runs land near or somewhat above the top).
-  const double rel = static_cast<double>(r.ws.cycles) /
-                     static_cast<double>(r.pdf.cycles);
+  const double rel = ratio(ws.cycles, pdf.cycles);
   EXPECT_GT(rel, 1.0);
   EXPECT_LT(rel, 3.0);
 }
 
 TEST(Integration, Fig2HashJoinPdfReducesMisses) {
-  const Pair r = run_pair("hashjoin", 16);
-  const double red = 1.0 - static_cast<double>(r.pdf.l2_misses) /
-                               static_cast<double>(r.ws.l2_misses);
+  const SimResult& pdf = fig2("hashjoin", "pdf", 16);
+  const SimResult& ws = fig2("hashjoin", "ws", 16);
+  const double red = 1.0 - ratio(pdf.l2_misses, ws.l2_misses);
   EXPECT_GT(red, 0.05);  // paper: 13.2-38.5%
-  EXPECT_LT(r.pdf.cycles, r.ws.cycles);
+  EXPECT_LT(pdf.cycles, ws.cycles);
 }
 
 TEST(Integration, Fig2LuSchedulersTie) {
-  const Pair r = run_pair("lu", 8);
   // Paper: "absolute speedups are practically the same" — within 15%.
-  const double rel = static_cast<double>(r.ws.cycles) /
-                     static_cast<double>(r.pdf.cycles);
+  const double rel =
+      ratio(fig2("lu", "ws", 8).cycles, fig2("lu", "pdf", 8).cycles);
   EXPECT_GT(rel, 0.85);
   EXPECT_LT(rel, 1.25);
 }
 
 TEST(Integration, SmallWorkingSetClassTies) {
   for (const char* app : {"matmul", "heat"}) {
-    const Pair r = run_pair(app, 8);
-    const double rel = static_cast<double>(r.ws.cycles) /
-                       static_cast<double>(r.pdf.cycles);
+    const double rel =
+        ratio(rec("table_summary", app, "ws", 8).result.cycles,
+              rec("table_summary", app, "pdf", 8).result.cycles);
     EXPECT_GT(rel, 0.8) << app;
     EXPECT_LT(rel, 1.3) << app;
   }
 }
 
 TEST(Integration, HashJoinBandwidthBoundAtManyCores) {
-  const Pair r16 = run_pair("hashjoin", 16);
   // Paper §5.1: 89.5-97.3% utilization at 16-32 cores.
-  EXPECT_GT(r16.ws.mem_bandwidth_utilization(), 0.8);
-  EXPECT_GT(r16.pdf.mem_bandwidth_utilization(), 0.8);
+  EXPECT_GT(fig2("hashjoin", "ws", 16).mem_bandwidth_utilization(), 0.8);
+  EXPECT_GT(fig2("hashjoin", "pdf", 16).mem_bandwidth_utilization(), 0.8);
 }
 
 TEST(Integration, MergesortNotBandwidthBoundUnder16Cores) {
-  const Pair r = run_pair("mergesort", 8);
-  EXPECT_LT(r.pdf.mem_bandwidth_utilization(), 0.75);
+  EXPECT_LT(fig2("mergesort", "pdf", 8).mem_bandwidth_utilization(), 0.75);
 }
 
 TEST(Integration, Fig6FinerTasksImprovePdfNotWs) {
-  const int cores = 16;
-  const CmpConfig cfg = default_config(cores).scaled(kScale);
-  auto run_ws_size = [&](uint64_t ws_bytes, const char* sched) {
-    AppOptions opt;
-    opt.scale = kScale;
-    opt.mergesort_task_ws = ws_bytes;
-    const Workload w = make_app("mergesort", cfg, opt);
-    return simulate_app(w, cfg, sched);
+  auto mpki = [](uint64_t task_ws, const char* sched) {
+    return rec("fig6_granularity", "mergesort", sched, 16,
+               "task_ws=" + std::to_string(task_ws))
+        .result.l2_misses_per_kilo_instr();
   };
   const uint64_t coarse = 256 * 1024, fine = 8 * 1024;
-  const double pdf_gain =
-      run_ws_size(coarse, "pdf").l2_misses_per_kilo_instr() /
-      run_ws_size(fine, "pdf").l2_misses_per_kilo_instr();
-  const double ws_gain =
-      run_ws_size(coarse, "ws").l2_misses_per_kilo_instr() /
-      run_ws_size(fine, "ws").l2_misses_per_kilo_instr();
+  const double pdf_gain = mpki(coarse, "pdf") / mpki(fine, "pdf");
+  const double ws_gain = mpki(coarse, "ws") / mpki(fine, "ws");
   EXPECT_GT(pdf_gain, 1.3);        // PDF improves markedly with finer tasks
   EXPECT_LT(ws_gain, pdf_gain);    // WS is comparatively flat
 }
 
 TEST(Integration, Fig4PdfOnSlowL2BeatsWsOnFastL2) {
-  const int cores = 16;
-  CmpConfig slow = default_config(cores).scaled(kScale);
-  slow.l2_hit_cycles = 19;
-  CmpConfig fast = slow;
-  fast.l2_hit_cycles = 7;
-  AppOptions opt;
-  opt.scale = kScale;
-  const Workload w = make_app("hashjoin", slow, opt);
-  const uint64_t pdf_slow = simulate_app(w, slow, "pdf").cycles;
-  const uint64_t ws_fast = simulate_app(w, fast, "ws").cycles;
-  EXPECT_LT(pdf_slow, ws_fast);
+  const char* fig = "fig4_l2_hit_time";
+  EXPECT_LT(rec(fig, "hashjoin", "pdf", 16, "hit19").result.cycles,
+            rec(fig, "hashjoin", "ws", 16, "hit7").result.cycles);
 }
 
 TEST(Integration, Fig5PdfAdvantagePersistsAcrossLatency) {
-  const int cores = 16;
-  for (int lat : {100, 700}) {
-    CmpConfig cfg = default_config(cores).scaled(kScale);
-    cfg.mem_latency_cycles = lat;
-    AppOptions opt;
-    opt.scale = kScale;
-    const Workload w = make_app("hashjoin", cfg, opt);
-    EXPECT_LT(simulate_app(w, cfg, "pdf").cycles,
-              simulate_app(w, cfg, "ws").cycles)
-        << "latency " << lat;
+  for (const std::string tag : {"lat100", "lat700"}) {
+    const char* fig = "fig5_mem_latency";
+    EXPECT_LT(rec(fig, "hashjoin", "pdf", 16, tag).result.cycles,
+              rec(fig, "hashjoin", "ws", 16, tag).result.cycles)
+        << tag;
   }
 }
 
@@ -143,34 +136,17 @@ TEST(Integration, CoarseGrainedOriginalsAreSlower) {
 }
 
 TEST(Integration, Fig8AutomaticSelectionNearBest) {
-  const int cores = 16;
-  const CmpConfig cfg = default_config(cores).scaled(kScale);
-  AppOptions fine;
-  fine.scale = kScale;
-  fine.mergesort_task_ws = 2048;
-  const Workload w_fine = make_app("mergesort", cfg, fine);
-  WorkingSetProfiler prof({cfg.l2_bytes}, cfg.line_bytes);
-  prof.run(w_fine.dag);
-  CoarsenParams cp;
-  cp.cache_bytes = cfg.l2_bytes;
-  cp.num_cores = cfg.cores;
-  const CoarsenResult sel = select_task_granularity(w_fine.dag, prof, cp);
-  const int64_t thr = sel.table.threshold(cfg.l2_bytes, cfg.cores,
-                                          "workloads/mergesort.cc", 1);
-  ASSERT_GT(thr, 0);
-  AppOptions actual;
-  actual.scale = kScale;
-  actual.mergesort_task_ws = static_cast<uint64_t>(thr) * 2 * 4;
-  const Workload w_act = make_app("mergesort", cfg, actual);
-  const uint64_t t_act = simulate_app(w_act, cfg, "pdf").cycles;
-  // Manual selection of §5.
-  AppOptions manual;
-  manual.scale = kScale;
-  const Workload w_man = make_app("mergesort", cfg, manual);
-  const uint64_t t_man = simulate_app(w_man, cfg, "pdf").cycles;
-  // Paper: within 5% of best; allow 15% slack at 1/32 scale.
-  EXPECT_LT(static_cast<double>(t_act),
-            1.15 * static_cast<double>(t_man));
+  const char* fig = "fig8_coarsening";
+  const SweepRecord& actual = rec(fig, "mergesort", "pdf", 16, "actual");
+  // The profiler picked a threshold: the regenerated program's task size
+  // is not the finest grain it profiled (the "dag" scheme's options).
+  EXPECT_NE(actual.job.opt.mergesort_task_ws,
+            rec(fig, "mergesort", "pdf", 16, "dag").job.opt.mergesort_task_ws);
+  // Manual selection of §5. Paper: within 5% of best; allow 15% slack at
+  // 1/32 scale.
+  const SweepRecord& manual = rec(fig, "mergesort", "pdf", 16, "previous");
+  EXPECT_LT(static_cast<double>(actual.result.cycles),
+            1.15 * static_cast<double>(manual.result.cycles));
 }
 
 TEST(Integration, SequentialBaselineSchedulerIndependent) {
@@ -195,12 +171,8 @@ TEST(Integration, SpeedupsAreMonotonicallyReasonable) {
   // Mergesort speedup grows with cores (paper Figure 2(e)).
   double prev = 0;
   for (int cores : {2, 8, 32}) {
-    const CmpConfig cfg = default_config(cores).scaled(kScale);
-    AppOptions opt;
-    opt.scale = kScale;
-    const Workload w = make_app("mergesort", cfg, opt);
-    const SimResult seq = simulate_sequential(w, cfg);
-    const double sp = simulate_app(w, cfg, "pdf").speedup_over(seq);
+    const SimResult& seq = fig2("mergesort", kSequentialSched, cores);
+    const double sp = fig2("mergesort", "pdf", cores).speedup_over(seq);
     EXPECT_GT(sp, prev);
     EXPECT_LT(sp, cores + 0.5);
     prev = sp;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -266,6 +267,13 @@ TEST(RunGuard, PollRaisesTimeoutAndInterrupt) {
   EXPECT_THROW(deadline.poll(), robust::JobTimeoutError);
   deadline.start();  // restarting the budget clears the expiry
   EXPECT_NO_THROW(deadline.poll());
+
+  // Budgets past the clock's range saturate instead of overflowing the
+  // deadline into the past.
+  for (const uint64_t huge : {uint64_t{9223372036854}, UINT64_MAX}) {
+    robust::RunGuard forever(huge, {});
+    EXPECT_NO_THROW(forever.poll()) << huge;
+  }
 
   bool stop = false;
   robust::RunGuard cancel(0, [&stop] { return stop; });

@@ -19,8 +19,8 @@
 //                        armed: exits 4 if the violation reproduces, 0 if
 //                        the run is clean (format: src/check/reproducer.h)
 //   cachesched_cli configs                          # print Tables 1-3
-//   cachesched_cli list                             # registered schedulers
-//                                                   # and workloads
+//   cachesched_cli list                             # registered schedulers,
+//                                                   # workloads and figures
 //   cachesched_cli sweep --apps=mergesort,hashjoin,lu [--scheds=pdf,ws]
 //                        [--cores=1,2,4,8,16,32|all] [--scales=0.125,...]
 //                        [--tech=default|45nm] [--seq] [--jobs=N]
@@ -54,6 +54,12 @@
 //                        job order — byte-identical to an unsharded run;
 //                        missing records abort (listing the holes) unless
 //                        --allow-holes emits the partial matrix (exit 3)
+//   cachesched_cli figure NAME [--scale=S] [--jobs=N] [--csv=PREFIX]
+//                        # reproduce a paper figure or table: run the
+//                        preset's job matrix (src/exp/figures.h) and print
+//                        its tables, each also written to
+//                        PREFIX_<table>.csv; `list` prints the presets and
+//                        their default scales
 //   cachesched_cli memory [--apps=mergesort] [--scale=1.0] [--cores=8]
 //                        [--task-ws=BYTES]  # deterministic DAG resident-
 //                        size report (trace arena + task metadata), no
@@ -96,6 +102,7 @@
 #include "check/invariants.h"
 #include "check/reproducer.h"
 #include "core/dag_io.h"
+#include "exp/figures.h"
 #include "exp/store.h"
 #include "exp/sweep.h"
 #include "harness/apps.h"
@@ -465,7 +472,7 @@ int cmd_sweep(const CliArgs& args) {
 
   SweepOptions opt;
   opt.workers = static_cast<int>(args.get_uint("jobs", 0, INT_MAX));
-  // Capped so the watchdog's steady_clock deadline cannot overflow.
+  // Capped at INT_MAX ms (~24.8 days); RunGuard saturates longer budgets.
   opt.job_timeout_ms = args.get_uint("job-timeout", 0, INT_MAX);
   opt.job_retries = static_cast<int>(args.get_uint("retries", 0, INT_MAX));
   opt.retry_backoff_ms = args.get_uint("retry-backoff", 10, INT_MAX);
@@ -693,6 +700,35 @@ int cmd_sweep_merge(const CliArgs& args) {
   return holes.empty() ? kExitOk : kExitQuarantinedHoles;
 }
 
+/// `figure NAME`: runs a figure preset's matrix and prints its tables
+/// (each also written to PREFIX_<table>.csv with --csv=PREFIX).
+int cmd_figure(const std::string& name, const CliArgs& args) {
+  if (name.empty()) {
+    std::cerr << "figure: NAME required (`cachesched_cli list` prints the "
+                 "presets)\n";
+    return kExitUsage;
+  }
+  const FigureSpec* fig = nullptr;
+  try {
+    fig = &find_figure(name);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "cachesched_cli: " << e.what() << "\n";
+    return kExitUsage;
+  }
+  const double scale = args.get_double("scale", fig->default_scale);
+  SweepOptions opt;
+  opt.workers = static_cast<int>(args.get_uint("jobs", 0, INT_MAX));
+  const std::string csv = args.get("csv", "");
+  // Every flag has been queried; fail on typos before the long run.
+  if (const int rc = args.check_unused()) return rc;
+  for (const FigureTable& t : run_figure(*fig, scale, opt)) {
+    std::cout << "\n=== " << t.title << " ===\n";
+    t.table.emit(csv.empty() ? "" : csv + "_" + t.name + ".csv");
+    std::cout << t.summary;
+  }
+  return kExitOk;
+}
+
 /// `memory`: deterministic resident-size report (no timing) for the
 /// paper-scale footprint question — peak trace-arena and task-metadata
 /// bytes of the built DAG, per workload.
@@ -752,6 +788,12 @@ int cmd_list() {
     t.add_row({name, kind});
   }
   t.emit();
+  std::cout << "\nfigures (cachesched_cli figure NAME):\n";
+  Table f({"name", "default_scale", "reproduces"});
+  for (const FigureSpec& fig : figures()) {
+    f.add_row({fig.name, Table::num(fig.default_scale, 4), fig.artifact});
+  }
+  f.emit();
   return 0;
 }
 
@@ -771,7 +813,7 @@ int cmd_configs() {
 int usage() {
   std::cerr << "usage: cachesched_cli "
                "{run|trace|replay|replay-crash|configs|list|sweep|"
-               "sweep merge|memory} [options]\n"
+               "sweep merge|figure NAME|memory} [options]\n"
                "see the header of tools/cachesched_cli.cc for options\n";
   return kExitUsage;
 }
@@ -798,13 +840,19 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   try {
-    // `sweep merge` is the one two-word subcommand; its flags start
-    // after the word "merge".
+    // `sweep merge` and `figure NAME` take a second word; their flags
+    // start after it.
     const bool merge =
         cmd == "sweep" && argc > 2 && std::string(argv[2]) == "merge";
-    CliArgs args(merge ? argc - 2 : argc - 1, merge ? argv + 2 : argv + 1);
+    const std::string figure_name =
+        cmd == "figure" && argc > 2 && std::string(argv[2]).rfind("--", 0) != 0
+            ? argv[2]
+            : "";
+    const int skip = merge || !figure_name.empty() ? 2 : 1;
+    CliArgs args(argc - skip, argv + skip);
     int rc;
     if (merge) rc = cmd_sweep_merge(args);
+    else if (cmd == "figure") rc = cmd_figure(figure_name, args);
     else if (cmd == "run") rc = cmd_run(args);
     else if (cmd == "trace") rc = cmd_trace(args);
     else if (cmd == "replay") rc = cmd_replay(args);
