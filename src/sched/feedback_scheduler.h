@@ -1,9 +1,12 @@
 // Cache-footprint-feedback scheduler ("cfb"): a PDF-ordered centralized
 // scheduler that throttles admission against the shared-L2 capacity.
 //
-// At reset it runs the working-set profiler (src/profile/ws_profiler, the
-// paper's one-pass LruTree) over the DAG and records every task's
-// distinct-lines footprint in bytes. At acquire() it hands out the
+// At reset it makes one pass over each task's trace, counting the task's
+// distinct lines in a reused hash set, and records that footprint in
+// bytes: the number the paper's one-pass LruTree profiler
+// (src/profile/ws_profiler) reports as group_working_set_bytes(t, t),
+// without its stack distances and per-task histograms, which cfb never
+// reads. At acquire() it hands out the
 // sequentially-earliest ready task — exactly PDF — *unless* admitting it
 // would push the aggregate live working set (sum of footprints of the
 // currently running tasks) past budget*l2_bytes; then it returns kNoTask

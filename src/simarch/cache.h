@@ -327,7 +327,10 @@ class SetAssocCache {
       }
       return -1;
     }
-    if (ways_ <= 16) {  // two words, no loop (every paper L2 is <= 16)
+    // Two words, no loop: the 2-, 4- and 8-core Table 2 L2s (16-way) and
+    // Table 3's 16-way rows. The 1-, 16- and 32-core Table 2 L2s (20-way)
+    // and Table 3's 18- to 28-way rows take the loop below.
+    if (ways_ <= 16) {
       uint64_t m = zero_byte_mask(fp[0] ^ probe_row);
       uint64_t m1 = zero_byte_mask(fp[1] ^ probe_row);
       if ((m | m1) == 0) return -1;  // the one branch of a clean miss
@@ -366,8 +369,10 @@ class SetAssocCache {
   }
 
   /// Marks way `w` of `set` most-recently-used. The word paths (<= 16
-  /// ways: every paper configuration) load each order word once and do
-  /// the position search and the rotation on the loaded values.
+  /// ways: every L1 and the 16-way paper L2s) load each order word once
+  /// and do the position search and the rotation on the loaded values.
+  /// The 18- to 28-way paper L2s take rotate_generic whenever the way
+  /// sits past the first order word.
   void make_mru(uint64_t set, int w) {
     if (wide_) {
       stamps_[set * ways_ + w] = ++stamp_;

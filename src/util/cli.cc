@@ -52,7 +52,7 @@ CliArgs::CliArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      throw std::invalid_argument("unexpected positional argument: " + arg);
+      throw CliUsageError("unexpected positional argument: " + arg);
     }
     arg = arg.substr(2);
     auto eq = arg.find('=');

@@ -33,13 +33,20 @@ enum ExitCode : int {
   kExitInterrupted = 130,
 };
 
-/// A flag value that is not what the flag takes: a number that does not
-/// parse in full ("4x", "abc"), or a count or duration that is negative
-/// or too large for its field. The message names the flag and the value;
-/// cachesched_cli reports it and exits kExitUsage before any work runs.
-class CliValueError : public std::invalid_argument {
+/// A command line the program does not take: a stray positional argument,
+/// or a flag value it cannot use (CliValueError). cachesched_cli reports
+/// it and exits kExitUsage before any work runs.
+class CliUsageError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
+};
+
+/// A flag value that is not what the flag takes: a number that does not
+/// parse in full ("4x", "abc"), or a count or duration that is negative
+/// or too large for its field. The message names the flag and the value.
+class CliValueError : public CliUsageError {
+ public:
+  using CliUsageError::CliUsageError;
 };
 
 /// Numeric flag getters parse the whole value and throw CliValueError

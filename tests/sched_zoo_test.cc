@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/dag.h"
+#include "harness/workload_registry.h"
+#include "profile/ws_profiler.h"
 #include "sched/affinity_scheduler.h"
 #include "sched/feedback_scheduler.h"
 #include "sched/priority_scheduler.h"
@@ -242,7 +244,7 @@ TEST(CfbZoo, ThrottlesAdmissionAtTheBudget) {
   c.line_bytes = 128;
   s->reset(dag, c);
   EXPECT_EQ(cfb->budget_bytes(), 1024u);
-  EXPECT_EQ(cfb->task_ws_bytes(1), 512u);  // profiler: 4 lines x 128 B
+  EXPECT_EQ(cfb->task_ws_bytes(1), 512u);  // 4 distinct lines x 128 B
   const TaskId ready[] = {1, 2, 3};
   s->enqueue_ready(0, ready);
   EXPECT_EQ(s->acquire(0), 1u);  // PDF order
@@ -271,6 +273,76 @@ TEST(CfbZoo, AdmitsOversizedTaskWhenNothingRuns) {
   EXPECT_EQ(s->acquire(1), kNoTask);   // but only one at a time
   s->on_complete(0, 1);
   EXPECT_EQ(s->acquire(1), 2u);
+}
+
+/// cfb's per-task footprint must equal the LruTree profiler's one-task
+/// working set, group_working_set_bytes(t, t), for every task.
+void expect_footprints_match_profiler(const TaskDag& dag, int line_bytes) {
+  SchedContext c(4);
+  c.line_bytes = line_bytes;
+  FeedbackScheduler cfb;
+  cfb.reset(dag, c);
+  WorkingSetProfiler prof({c.l2_bytes}, static_cast<uint32_t>(line_bytes));
+  prof.run(dag);
+  for (TaskId t = 0; t < dag.num_tasks(); ++t) {
+    ASSERT_EQ(cfb.task_ws_bytes(t), prof.group_working_set_bytes(t, t))
+        << "task " << t << " of " << dag.num_tasks();
+  }
+}
+
+TEST(CfbZoo, FootprintsMatchProfilerOnGeneratedAndSeedWorkloads) {
+  // Generated families cover kStride (stream, loop) and kRandom (rand,
+  // and the shared region); the seed apps add kInterleave (mergesort's
+  // merges) and kCompute-only tasks.
+  const std::vector<std::string> specs = {
+      "dnc:depth=5,fanout=2,ws=8K,reuse=stream,share=0.2",
+      "dnc:depth=4,fanout=3,ws=4K,reuse=loop,passes=3",
+      "stencil:ws=4K,reuse=rand,passes=2",
+      "forkjoin:ws=8K,reuse=loop,share=0.3",
+      "layered:ws=4K,reuse=rand,share=0.1",
+      "mergesort", "hashjoin", "lu", "matmul", "quicksort", "heat"};
+  for (int line_bytes : {64, 128}) {
+    CmpConfig cfg = default_config(4).scaled(1.0 / 64);
+    cfg.line_bytes = line_bytes;
+    AppOptions opt;
+    opt.scale = 1.0 / 64;
+    for (const std::string& spec : specs) {
+      SCOPED_TRACE(spec + " @ " + std::to_string(line_bytes) + " B lines");
+      expect_footprints_match_profiler(make_workload(spec, cfg, opt).dag,
+                                       line_bytes);
+    }
+  }
+}
+
+TEST(CfbZoo, FootprintsMatchProfilerWhenTheSetGrowsAndLinesRepeat) {
+  DagBuilder b;
+  // More distinct lines than the set's initial 1024 slots hold, so it
+  // doubles several times inside one task; the second sweep must find
+  // every line the doublings moved.
+  b.add_task({}, {RefBlock::stride_ref(0, 20000, 128, false, 1),
+                  RefBlock::stride_ref(0, 20000, 128, true, 1)});
+  // The same lines again: two sweeps of one region, 8-byte steps (16
+  // refs per line) and random refs inside it.
+  b.add_task({0}, {RefBlock::stride_ref(1 << 24, 300, 128, false, 1),
+                   RefBlock::stride_ref(1 << 24, 4800, 8, true, 1),
+                   RefBlock::random_ref(1 << 24, 300 * 128, 5000, 9, false, 1),
+                   RefBlock::compute(100)});
+  // A task after the big one reuses the grown set; part of its region
+  // overlaps task 0's lines, which must not count as seen.
+  b.add_task({1}, {RefBlock::stride_ref(64 * 128, 100, 128, false, 1),
+                   RefBlock::stride_ref(262 * 128, 100, -128, false, 1)});
+  b.add_task({2}, {RefBlock::compute(5)});  // no references at all
+  const TaskDag dag = b.finish();
+  for (int line_bytes : {64, 128}) {
+    SCOPED_TRACE(line_bytes);
+    expect_footprints_match_profiler(dag, line_bytes);
+  }
+  FeedbackScheduler cfb;
+  cfb.reset(dag, SchedContext(1));  // 128 B lines
+  EXPECT_EQ(cfb.task_ws_bytes(0), 20000u * 128);
+  EXPECT_EQ(cfb.task_ws_bytes(1), 300u * 128);
+  EXPECT_EQ(cfb.task_ws_bytes(2), 199u * 128);  // lines 64..163 and 262..163
+  EXPECT_EQ(cfb.task_ws_bytes(3), 0u);
 }
 
 TEST(CfbZoo, DefaultInstanceReportsFamilyName) {

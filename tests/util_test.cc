@@ -201,8 +201,17 @@ TEST(Cli, UintRejectsNegativeAndOutOfRangeValues) {
             "--jobs: expected an integer no larger than 3, got '4'");
 }
 
-TEST(Cli, RejectsPositional) {
-  EXPECT_THROW(make_args({"prog", "oops"}), std::invalid_argument);
+TEST(Cli, RejectsPositionalAsAUsageError) {
+  // A usage error, which cachesched_cli maps to exit 2 like a bad value.
+  for (const auto& argv : {std::vector<std::string>{"prog", "oops"},
+                           std::vector<std::string>{"prog", "--a=1", "oops"}}) {
+    try {
+      make_args(argv);
+      FAIL() << "expected CliUsageError";
+    } catch (const CliUsageError& e) {
+      EXPECT_STREQ(e.what(), "unexpected positional argument: oops");
+    }
+  }
 }
 
 TEST(Cli, QueriedRecordsFlagVocabulary) {

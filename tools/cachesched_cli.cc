@@ -865,7 +865,7 @@ int main(int argc, char** argv) {
     // Subcommands that already failed (including on their own
     // check_unused) return as-is; re-checking would print twice.
     return rc ? rc : args.check_unused();
-  } catch (const CliValueError& e) {
+  } catch (const CliUsageError& e) {
     std::cerr << "cachesched_cli: " << e.what() << "\n";
     return kExitUsage;
   } catch (const std::exception& e) {
